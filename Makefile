@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: check test bench bench-smoke bench-report example serve-smoke \
-    docs-check lint typecheck
+    docs-check lint typecheck perfbench-test
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,6 +17,12 @@ bench-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# Self-tests of the latency-ledger benchmark (BENCHMARK.json): every
+# workload's smoke run, the output checks, the per-layer attribution.
+# They drive the public calls the benchmark makes into src/.
+perfbench-test:
+	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
 # Trend gate: run the tracer-overhead benchmark (which also gates the
 # obs layer's cost and appends to bench_history/), then fail on any
@@ -56,5 +62,6 @@ lint:
 typecheck:
 	$(PYTHON) tools/run_mypy.py
 
-check: test bench-smoke bench-report example docs-check lint typecheck
+check: test perfbench-test bench-smoke bench-report example docs-check \
+    lint typecheck
 	@echo "check: OK"

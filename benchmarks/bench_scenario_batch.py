@@ -4,10 +4,10 @@ The Monte-Carlo traffic shape: one topology, ``SCENARIOS`` weight
 columns, each a scale-up perturbation of a few **non-tree** edges (so
 every scenario provably shares the baseline MST — the batched path's
 best case, and the realistic one: cost drift on backup links).  The
-scenario loop (:meth:`~repro.runtime.session.SolverSession.solve_many`)
-pays the forward phase once per scenario; the vectorized path
-(:meth:`~repro.runtime.session.SolverSession.solve_batch_vectorized`)
-runs one ``(scenarios × edges)`` forward pass per tree group.
+scenario loop (one-query
+:meth:`~repro.runtime.session.SolverSession.solve_many` calls) pays the
+forward phase once per scenario; one ``solve_many`` call over all
+scenarios runs one ``(scenarios × edges)`` forward pass per tree group.
 
 The looped total is *projected*: the per-scenario time is the minimum
 over ``LOOP_SAMPLES`` individually timed solves, multiplied by
@@ -18,7 +18,14 @@ scenarios' results are asserted field-identical between the two paths
 (the full bit-identity contract lives in
 ``tests/test_scenario_batch.py``).
 
-Writes ``BENCH_scenario_batch.json`` (CI artifact, gated ≥5x) and
+The gate was ≥5x while each looped scenario paid networkx's MST and link
+filter over a freshly materialized ``nx.Graph``.  The one-query path now
+builds both from the handle's flat arrays, so the loop side got about 4x
+cheaper (0.36 → 0.08 s per scenario on the 2-core development host) while
+the vectorized side also got cheaper (3.6 → 3.1 s for all 100); the
+measured ratio became ~2.6x, gated at ≥2x.
+
+Writes ``BENCH_scenario_batch.json`` (CI artifact, gated ≥2x) and
 appends to ``bench_history/scenario_batch.jsonl``.  Also runnable
 directly:
 
@@ -45,7 +52,7 @@ EPS = 0.5
 SCENARIOS = 100
 LOOP_SAMPLES = 5
 PERTURBED_EDGES = 20
-MIN_SPEEDUP = 5.0
+MIN_SPEEDUP = 2.0
 
 BENCH_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -67,10 +74,11 @@ def _fields_equal(a, b) -> bool:
 
 def _scenario_columns(session: SolverSession) -> list[list[float]]:
     """``SCENARIOS`` scale-up perturbations of non-tree edges."""
-    from repro.runtime.batch import stable_kruskal_mst
+    from repro.core.tecss import stable_kruskal_mst
 
     handle = session.handle
-    mst = set(stable_kruskal_mst(handle, handle.weights))
+    mst_edges, _ = stable_kruskal_mst(handle.n, handle.edges, handle.weights)
+    mst = set(mst_edges)
     nontree = [i for i, e in enumerate(handle.edges) if e not in mst]
     rng = random.Random(SEED + 7)
     base = list(handle.weights)
@@ -98,7 +106,7 @@ def run_scenario_batch_benchmark() -> dict:
     # minimum over its samples, which already excludes one-time costs.
     # Two queries, because a singleton group falls back to the scalar
     # path by design.
-    session.solve_batch_vectorized(queries[:2])
+    session.solve_many(queries[:2])
 
     # Looped baseline: per-scenario minimum over the first LOOP_SAMPLES
     # (fresh session so its plan cache cannot subsidize the loop).
@@ -118,7 +126,7 @@ def run_scenario_batch_benchmark() -> dict:
     vectorized_total_s = float("inf")
     for _ in range(2):
         t0 = time.perf_counter()
-        results = session.solve_batch_vectorized(queries)
+        results = session.solve_many(queries)
         vectorized_total_s = min(
             vectorized_total_s, time.perf_counter() - t0
         )

@@ -244,7 +244,8 @@ def assemble_k_ecss(
     rounds: "Iterable[dict]",
     k: int,
     validate: bool = True,
-    diameter: int | None = None,
+    *,
+    diameter: int,
     n: int | None = None,
     degree_bound: float = 0.0,
 ) -> KEcssResult:
@@ -255,7 +256,8 @@ def assemble_k_ecss(
     :func:`augment_round` for ``j = 3..k`` in order.  ``g`` is only
     touched when ``validate`` is set (the final min-cut certificate), so
     plan-backed callers can pass ``None`` otherwise — mirroring
-    :func:`repro.core.tecss.assemble_two_ecss`.
+    :func:`repro.core.tecss.assemble_two_ecss`, which also explains the
+    required ``diameter``.
     """
     chosen = set(base_edges)
     round_objs: list[KEcssRound] = []
@@ -281,8 +283,6 @@ def assemble_k_ecss(
 
     if n is None:
         n = g.number_of_nodes()
-    if diameter is None:
-        diameter = nx.diameter(g) if n <= 4000 else -1
 
     tap_factor = COVER_BOUND[base.augmentation.variant] * 2 \
         + base.augmentation.eps

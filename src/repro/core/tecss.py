@@ -35,29 +35,67 @@ from repro.trees.rooted import RootedTree
 __all__ = [
     "approximate_two_ecss",
     "assemble_two_ecss",
-    "nontree_links",
     "rooted_mst",
+    "stable_kruskal_mst",
 ]
+
+
+def stable_kruskal_mst(
+    n: int, edges: Sequence[tuple[int, int]], weights: Sequence
+) -> tuple[list[tuple[int, int]], Any]:
+    """The MST of a ``0..n-1`` edge list and its total weight.
+
+    ``edges[i]`` carries ``weights[i]``.  Returns the tree edges as sorted
+    normalized ``(u, v)`` pairs, and their weight objects summed in that
+    order (integer weights give an integer total).  Kruskal's algorithm
+    visits the edges in a stable sort by weight — the lexicographic
+    ``(weight, edge-position)`` order, the same order networkx's Kruskal
+    uses over a graph's edge-iteration order — and the accepted edge
+    *set* depends only on that order, not on the union-find
+    implementation.  The sort compares the weight objects themselves, so
+    integer weights beyond float64's exact range still rank exactly.
+    This is the one MST builder: :func:`rooted_mst`, the session plans
+    (:class:`repro.runtime.plan.SolverPlan`) and the scenario-batch path
+    (:mod:`repro.runtime.batch`) all call it, on flat arrays instead of an
+    ``nx.Graph``; ``tests/test_scenario_batch.py`` holds it to networkx.
+    """
+    parent = list(range(n))
+    size = [1] * n
+    chosen: list[tuple[tuple[int, int], int]] = []
+    need = n - 1
+    for pos in sorted(range(len(edges)), key=weights.__getitem__):
+        u, v = edges[pos]
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = parent[parent[ru]]
+            ru = parent[ru]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = parent[parent[rv]]
+            rv = parent[rv]
+        if ru == rv:
+            continue
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        size[ru] += size[rv]
+        chosen.append(((u, v) if u < v else (v, u), pos))
+        if len(chosen) == need:
+            break
+    chosen.sort()
+    return [e for e, _ in chosen], sum(weights[pos] for _, pos in chosen)
 
 
 def rooted_mst(graph: nx.Graph) -> tuple[RootedTree, list[tuple]]:
     """Deterministic MST of a 0..n-1 graph, rooted at 0, plus its edge list."""
-    mst = nx.minimum_spanning_tree(graph, weight="weight")
-    edges = sorted(tuple(sorted(e)) for e in mst.edges())
-    tree = RootedTree.from_edges(graph.number_of_nodes(), edges, root=0)
-    return tree, edges
-
-
-def nontree_links(
-    graph: nx.Graph, mst_set: set[tuple[int, int]]
-) -> list[tuple[int, int, float]]:
-    """The candidate links: every non-MST edge as ``(u, v, weight)``."""
-    links = []
-    for u, v, data in graph.edges(data=True):
-        key = tuple(sorted((u, v)))
-        if key not in mst_set:
-            links.append((key[0], key[1], float(data["weight"])))
-    return links
+    edges = []
+    weights = []
+    for u, v, w in graph.edges(data="weight", default=1):
+        edges.append((u, v))
+        weights.append(w)
+    n = graph.number_of_nodes()
+    mst_edges, _ = stable_kruskal_mst(n, edges, weights)
+    return RootedTree.from_edges(n, mst_edges, root=0), mst_edges
 
 
 def assemble_two_ecss(
@@ -67,7 +105,8 @@ def assemble_two_ecss(
     tap: "TapResult",
     validate: bool = True,
     mst_simulation: Any = None,
-    diameter: int | None = None,
+    *,
+    diameter: int,
     mst_weight: float | None = None,
     n: int | None = None,
     mst_edges_out: list | None = None,
@@ -81,13 +120,12 @@ def assemble_two_ecss(
     :func:`~repro.graphs.validation.normalize_graph`, and ``tap`` the
     :class:`~repro.core.result.TapResult` of the augmentation.
 
-    ``diameter`` lets a caller with a cached topology diameter (the
-    session's :class:`~repro.runtime.handle.GraphHandle`) skip the
-    recomputation; ``None`` keeps the original rule (``nx.diameter`` for
-    ``n <= 4000``, else ``-1``).  ``mst_weight`` and ``n`` likewise let a
-    plan-backed caller supply cached values; when all three are given and
-    ``validate`` is off, ``g`` is never touched and may be ``None`` (the
-    delta re-solve path skips materializing the nx.Graph entirely).  A
+    ``diameter`` is the result's topology diameter, owned by
+    :attr:`repro.runtime.handle.GraphHandle.diameter` (every caller holds
+    a handle or a plan).  ``mst_weight`` and ``n`` let a plan-backed
+    caller supply cached values; when both are given and ``validate`` is
+    off, ``g`` is never touched and may be ``None`` (the delta re-solve
+    path skips materializing the nx.Graph entirely).  A
     supplied ``mst_weight`` must equal the in-order sum over
     ``mst_edges`` — the session computes it from the same weight objects
     in the same order, keeping results bit-identical.  ``mst_edges_out``
@@ -117,9 +155,6 @@ def assemble_two_ecss(
         if mst_edges_out is None
         else mst_edges_out
     )
-
-    if diameter is None:
-        diameter = nx.diameter(g) if n <= 4000 else -1
 
     return TwoEcssResult(
         edges=edges_out,

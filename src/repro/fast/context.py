@@ -12,12 +12,14 @@ the per-epoch *primitives*, all integer-exact:
   ``(depth(anc), index)`` / ``(-depth(u_e), index)`` lexicographically;
 * :class:`FastCoverageCounter` — the cover ``Y`` as a scatter-delta array
   with lazily recomputed Euler-tour subtree counts (amortized O(n) per
-  batch of additions instead of O(log^2 n) Fenwick work per query); its
-  :meth:`~FastCoverageCounter.counts_2d` staticmethod is the scenario-axis
-  form of the same Euler-tour pass, used by
-  :func:`~repro.fast.forward.forward_phase_fast_batch` to recompute
-  coverage for a whole ``(scenarios, n)`` delta stack in one kernel call;
+  batch of additions instead of O(log^2 n) Fenwick work per query);
 * X-coverage counts via :func:`~repro.fast.kernels.path_cover_counts`.
+
+The petal chmins and the coverage counts are the same one-row-or-many
+kernels (:func:`~repro.fast.kernels.path_chmin`,
+:func:`~repro.fast.kernels.subtree_counts`) the scenario-batched forward
+phase (:func:`~repro.fast.forward.forward_phase_fast_batch`) runs on
+``(scenarios, ·)`` stacks; reverse-delete calls them on one row.
 
 Because petal indices and coverage counts are exact integers in both
 backends, :class:`FastEpochContext` selects the same anchors, builds the
@@ -151,18 +153,6 @@ class FastCoverageCounter:
             self._counts = self._ta.subtree_counts(self._delta).tolist()
             self._dirty = False
         return self._counts[v] > 0
-
-    @staticmethod
-    def counts_2d(ta, delta2):
-        """Coverage counts for a ``(scenarios, n)`` stack of delta rows.
-
-        The scenario-axis twin of the lazy recompute in :meth:`count`:
-        one vectorized Euler-tour pass yields the per-tree-edge counts of
-        every scenario at once.  Row ``s`` equals what a scalar counter
-        seeded with ``delta2[s]`` would report — the batched forward
-        phase relies on that to stay bit-identical to the looped one.
-        """
-        return ta.subtree_counts_2d(delta2)
 
 
 class FastEpochContext(EpochContext):

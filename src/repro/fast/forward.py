@@ -3,7 +3,12 @@
 Same algorithm, same epoch/iteration structure, same
 :class:`~repro.core.rounds.PrimitiveLog` entries, and bit-identical output
 as :func:`repro.core.forward.forward_phase` — but every per-edge and
-per-tree-edge loop becomes an array kernel:
+per-tree-edge loop becomes an array kernel, and the loop runs for a whole
+stack of weight scenarios over one tree at once.
+:func:`forward_phase_fast_batch` is the only fast forward phase: a single
+solve is the one-row case (``forward_phase(backend="fast")`` passes
+``[inst]``), a scenario group of the batch path
+(:mod:`repro.runtime.batch`) is the many-row case.  The kernels:
 
 * dual prefix sums ``s(e) = cum[dec] - cum[anc]`` via the level-synchronous
   :func:`~repro.fast.kernels.ancestor_sums_levels` (same floating-point
@@ -30,183 +35,51 @@ from repro.core.forward import _REL_TOL, ForwardResult
 from repro.core.rounds import PrimitiveLog
 from repro.exceptions import InvariantViolation, NotTwoEdgeConnectedError
 from repro.fast import require_numpy
-from repro.fast.context import FastCoverageCounter
 
-__all__ = ["forward_phase_fast", "forward_phase_fast_batch"]
-
-
-def forward_phase_fast(inst, eps: float = 0.25, max_iter_slack: int = 8) -> ForwardResult:
-    """Drop-in replacement for :func:`repro.core.forward.forward_phase`.
-
-    Identical signature, identical result (including the primitive log and
-    the Lemma 4.12 iteration-bound enforcement); requires numpy.
-    """
-    np = require_numpy()
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    arrays = inst.arrays
-    ta = arrays.ta
-    tree = inst.tree
-    n = tree.n
-    m = len(inst.edges)
-    dec, anc, w = arrays.dec, arrays.anc, arrays.weight
-
-    # Feasibility (2-edge-connectivity): every tree edge must be covered.
-    cov0 = ta.path_cover_counts(dec, anc)
-    uncovered = np.flatnonzero((cov0 == 0) & ta.nonroot)
-    if uncovered.size:
-        t = int(uncovered[0])
-        raise NotTwoEdgeConnectedError(
-            f"tree edge ({t}, {tree.parent[t]}) is covered by no "
-            "link; the underlying graph has a bridge"
-        )
-
-    y = np.zeros(n, dtype=np.float64)
-    covered = np.zeros(n, dtype=bool)
-    covered[tree.root] = True
-    first_cover_epoch = np.zeros(n, dtype=np.int64)
-    in_a = np.zeros(m, dtype=bool)
-    added: list[int] = []
-    epoch_added: dict[int, int] = {}
-    r_sets: dict[int, list[int]] = {}
-    iterations_per_epoch: dict[int, int] = {}
-    log = PrimitiveLog()
-    # Coverage of A as a scatter domain: +1 at dec, -1 at anc per chosen
-    # edge; subtree sums give the counts (the kernel counterpart of the
-    # reference CoverageCounter).
-    cover_delta = np.zeros(n, dtype=np.int64)
-
-    # Zero-weight links can never pay a positive dual; add them up front
-    # (they only ever help the solution and cost nothing).
-    zero_w = np.flatnonzero(w <= 0.0)
-    if zero_w.size:
-        in_a[zero_w] = True
-        for eid in zero_w:
-            added.append(int(eid))
-            epoch_added[int(eid)] = 0
-        np.add.at(cover_delta, dec[zero_w], 1)
-        np.add.at(cover_delta, anc[zero_w], -1)
-        counts = ta.subtree_counts(cover_delta)
-        covered |= counts > 0
-        covered[tree.root] = True
-        # first_cover_epoch stays 0: covered before epoch 1
-
-    iter_bound = math.ceil(math.log(max(2, n)) / math.log1p(eps)) + max_iter_slack
-    layer = arrays.layer
-
-    for k in range(1, inst.layering.num_layers + 1):
-        remaining = (layer == k) & ~covered
-        r_sets[k] = [int(t) for t in np.flatnonzero(remaining)]
-        if not r_sets[k]:
-            iterations_per_epoch[k] = 0
-            continue
-
-        iteration = 0
-        while remaining.any():
-            iteration += 1
-            if iteration > iter_bound:
-                raise InvariantViolation(
-                    f"epoch {k} exceeded the Lemma 4.12 iteration bound "
-                    f"({iter_bound}); eps={eps}"
-                )
-            cum = ta.ancestor_sums(y)
-            log.record("aggregate")  # every non-tree edge computes s(e)
-            if iteration == 1:
-                # |S_e^k|: how many uncovered layer-k edges each link covers.
-                cum_z = ta.ancestor_sums(remaining.astype(np.float64))
-                log.record("aggregate")
-                # Every uncovered t learns min (w(e)-s(e))/|S_e^k| over
-                # covering edges e — an aggregate of the covering links.
-                active = np.flatnonzero(~in_a)
-                cnt = np.rint(cum_z[dec[active]] - cum_z[anc[active]]).astype(
-                    np.int64
-                )
-                sel = active[cnt > 0]
-                s_sel = cum[dec[sel]] - cum[anc[sel]]
-                vals = (w[sel] - s_sel) / cnt[cnt > 0]
-                start = ta.path_chmin(dec[sel], anc[sel], vals, np.inf)
-                log.record("aggregate")
-                rem_idx = np.flatnonzero(remaining)
-                start_rem = start[rem_idx]
-                bad = np.flatnonzero(np.isinf(start_rem))
-                if bad.size:  # pragma: no cover
-                    raise InvariantViolation(
-                        f"uncovered edge {int(rem_idx[bad[0]])} has no "
-                        "non-tight covering link"
-                    )
-                y[rem_idx] = np.maximum(start_rem, 0.0)
-                cum = ta.ancestor_sums(y)
-                log.record("aggregate")
-            else:
-                y[remaining] *= 1.0 + eps
-                cum = ta.ancestor_sums(y)
-                log.record("aggregate")
-
-            # Collect edges whose dual constraint is (numerically) tight.
-            active = np.flatnonzero(~in_a)
-            s_act = cum[dec[active]] - cum[anc[active]]
-            new_edges = active[s_act >= w[active] * (1.0 - _REL_TOL)]
-            if new_edges.size:
-                in_a[new_edges] = True
-                for eid in new_edges:
-                    epoch_added[int(eid)] = k
-                    added.append(int(eid))
-                np.add.at(cover_delta, dec[new_edges], 1)
-                np.add.at(cover_delta, anc[new_edges], -1)
-                log.record("aggregate")  # tree edges learn whether A covers them
-                counts = ta.subtree_counts(cover_delta)
-                newly = ~covered & (counts > 0)
-                newly[tree.root] = False
-                covered |= newly
-                first_cover_epoch[newly] = k
-                remaining &= ~newly
-            log.record("broadcast")  # "is layer k fully covered?" over BFS tree
-
-        iterations_per_epoch[k] = iteration
-
-    return ForwardResult(
-        y=[float(v) for v in y],
-        added=added,
-        epoch_added=epoch_added,
-        first_cover_epoch=[int(v) for v in first_cover_epoch],
-        r_sets=r_sets,
-        iterations_per_epoch=iterations_per_epoch,
-        log=log,
-    )
+__all__ = ["forward_phase_fast_batch"]
 
 
 def forward_phase_fast_batch(
     instances, eps: float = 0.25, max_iter_slack: int = 8
 ) -> "list[ForwardResult]":
-    """Scenario-batched :func:`forward_phase_fast` over one shared structure.
+    """The forward phase for TAP instances sharing one structure.
 
     ``instances`` are TAP instances sharing one tree and one virtual-edge
     structure and differing only in their weight columns (the
     :meth:`repro.fast.treearrays.InstanceArrays.reweighted` contract,
-    enforced via :class:`~repro.fast.treearrays.ScenarioArrays`).  All
-    scenarios run the epoch/iteration loop in lockstep: per lockstep
+    checked here object for object); their weight columns stack into one
+    ``(scenarios, m)`` matrix, a single instance being the one-row case.
+    All scenarios run the epoch/iteration loop in lockstep: per lockstep
     iteration the prefix sums, the first-iteration chmin, the tightness
     test, and the coverage counts execute once as ``(scenarios, ·)``
     kernels instead of once per scenario.  Per-scenario control flow is
-    carried by masks — a scenario whose epoch finished is masked out of
-    every update and every log record, so element ``s`` of the result is
-    bit-identical (duals, added order, epochs, r-sets, iteration counts,
-    primitive logs) to ``forward_phase_fast(instances[s], ...)``.
+    carried by masks and live-row compaction — a scenario whose epoch
+    finished drops out of every update and every log record — so element
+    ``s`` of the result is bit-identical (duals, added order, epochs,
+    r-sets, iteration counts, primitive logs) to
+    :func:`repro.core.forward.forward_phase` on ``instances[s]`` with the
+    reference backend.  Requires numpy.
     """
-    from repro.fast.treearrays import ScenarioArrays
-
     np = require_numpy()
     if eps <= 0:
         raise ValueError("eps must be positive")
 
-    sa = ScenarioArrays.from_instances(instances)
-    ta = sa.ta
+    arrays = [inst.arrays for inst in instances]
+    base = arrays[0]
+    ta, dec, anc = base.ta, base.dec, base.anc
+    if any(
+        a.ta is not ta or a.dec is not dec or a.anc is not anc
+        for a in arrays[1:]
+    ):
+        raise ValueError(
+            "forward_phase_fast_batch needs instances sharing one "
+            "virtual-edge structure (build them via "
+            "InstanceArrays.reweighted)"
+        )
+    w2 = np.stack([a.weight for a in arrays]).astype(np.float64, copy=False)
+    scenarios, m = w2.shape
     tree = instances[0].tree
     n = tree.n
-    scenarios = sa.scenarios
-    dec, anc, w2 = sa.dec, sa.anc, sa.weight2
-    m = int(w2.shape[1])
 
     # Feasibility (2-edge-connectivity) is a pure function of the shared
     # structure: check it once for every scenario.
@@ -229,26 +102,30 @@ def forward_phase_fast_batch(
     r_sets: list[dict[int, list[int]]] = [{} for _ in range(scenarios)]
     iters: list[dict[int, int]] = [{} for _ in range(scenarios)]
     logs = [PrimitiveLog() for _ in range(scenarios)]
+    # Coverage of A as a scatter domain: +1 at dec, -1 at anc per chosen
+    # edge (flat ``row * n + vertex`` targets); subtree sums give the
+    # counts — the kernel counterpart of the reference CoverageCounter.
     cover_delta2 = np.zeros((scenarios, n), dtype=np.int64)
+    cover_flat = cover_delta2.reshape(-1)
 
-    # Zero-weight preamble, per scenario (row-major nonzero order matches
-    # the scalar flatnonzero order within each scenario).
+    # Zero-weight links can never pay a positive dual; add them up front
+    # (they only ever help the solution and cost nothing).  Row-major
+    # nonzero order is the reference's edge order within each scenario.
     zero_s, zero_e = np.nonzero(w2 <= 0.0)
     if zero_s.size:
         in_a2[zero_s, zero_e] = True
         for s, eid in zip(zero_s.tolist(), zero_e.tolist()):
             added[s].append(eid)
             epoch_added[s][eid] = 0
-        np.add.at(cover_delta2, (zero_s, dec[zero_e]), 1)
-        np.add.at(cover_delta2, (zero_s, anc[zero_e]), -1)
+        np.add.at(cover_flat, zero_s * n + dec[zero_e], 1)
+        np.add.at(cover_flat, zero_s * n + anc[zero_e], -1)
         rows = np.unique(zero_s)
-        counts = FastCoverageCounter.counts_2d(ta, cover_delta2[rows])
-        covered2[rows] |= counts > 0
+        covered2[rows] |= ta.subtree_counts(cover_delta2[rows]) > 0
         covered2[:, tree.root] = True
         # first_cover_epoch stays 0: covered before epoch 1
 
     iter_bound = math.ceil(math.log(max(2, n)) / math.log1p(eps)) + max_iter_slack
-    layer = sa.layer
+    layer = base.layer
     w2_tol = w2 * (1.0 - _REL_TOL)
     # Scratch buffers reused by every lockstep iteration.  A fresh
     # ``(scenarios, m)`` float64 array is tens of MB at production batch
@@ -257,14 +134,19 @@ def forward_phase_fast_batch(
     # batches.  Slices ``[:r]`` of these serve the live-row subsets.
     fbuf_a = np.empty((scenarios, m), dtype=np.float64)
     fbuf_b = np.empty((scenarios, m), dtype=np.float64)
-    fbuf_c = np.empty((scenarios, m), dtype=np.float64)
-    bbuf_a = np.empty((scenarios, m), dtype=bool)
-    bbuf_b = np.empty((scenarios, m), dtype=bool)
+    bbuf = np.empty((scenarios, m), dtype=bool)
+
+    def edge_sums(cum, r):
+        """``cum[:, dec] - cum[:, anc]`` for ``r`` rows, in ``fbuf_a``."""
+        out = np.take(cum, dec, axis=1, out=fbuf_a[:r])
+        return np.subtract(
+            out, np.take(cum, anc, axis=1, out=fbuf_b[:r]), out=out
+        )
 
     for k in range(1, instances[0].layering.num_layers + 1):
         remaining2 = (layer == k)[None, :] & ~covered2
         for s in range(scenarios):
-            r_sets[s][k] = [int(t) for t in np.flatnonzero(remaining2[s])]
+            r_sets[s][k] = np.flatnonzero(remaining2[s]).tolist()
             if not r_sets[s][k]:
                 iters[s][k] = 0
         live = remaining2.any(axis=1)
@@ -289,80 +171,73 @@ def forward_phase_fast_batch(
             full = r == scenarios
             remr = remaining2 if full else remaining2[rows]
             in_ar = in_a2 if full else in_a2[rows]
-            for s in rows.tolist():
-                logs[s].record("aggregate")  # every non-tree edge computes s(e)
+            y2r = y2 if full else y2[rows]
             if iteration == 1:
                 # |S_e^k|: how many uncovered layer-k edges each link
                 # covers.  ``cnt`` stays float64 — np.rint makes the
                 # counts exact integers (they are < 2^53) and the divide
                 # below converts an int64 divisor to the very same
                 # doubles, so skipping the astype changes no bit.
-                cum_zr = ta.ancestor_sums_2d(remr.astype(np.float64))
-                for s in rows.tolist():
-                    logs[s].record("aggregate")
-                cnt = fbuf_a[:r]
-                np.subtract(cum_zr[:, dec], cum_zr[:, anc], out=cnt)
+                cnt = edge_sums(ta.ancestor_sums(remr.astype(np.float64)), r)
                 np.rint(cnt, out=cnt)
-                cumr = ta.ancestor_sums_2d(y2 if full else y2[rows])
-                # Per-scenario edge selection (not in A, positive count)
-                # lives in the value matrix: deselected entries carry the
-                # chmin identity and scatter as no-ops.
-                selr = np.greater(cnt, 0.0, out=bbuf_a[:r])
-                np.logical_and(selr, np.logical_not(in_ar, out=bbuf_b[:r]),
-                               out=selr)
-                num = fbuf_b[:r]
-                np.subtract(cumr[:, dec], cumr[:, anc], out=num)
-                np.subtract(w2 if full else w2[rows], num, out=num)
-                valsr = fbuf_c[:r]
-                valsr.fill(np.inf)
-                np.divide(num, cnt, out=valsr, where=selr)
-                startr = ta.path_chmin_2d(dec, anc, valsr, np.inf)
-                for s in rows.tolist():
-                    logs[s].record("aggregate")
+                # Every uncovered t learns min (w(e)-s(e))/|S_e^k| over
+                # covering edges e not in A.  Only links some row selects
+                # enter the chmin; a row's unselected entries carry the
+                # chmin identity.
+                selr = np.greater(cnt, 0.0, out=bbuf[:r])
+                selr &= ~in_ar
+                cols = np.flatnonzero(selr.any(axis=0))
+                dc, ac = dec[cols], anc[cols]
+                cum = ta.ancestor_sums(y2r)
+                s_sel = np.take(cum, dc, axis=1)
+                s_sel -= np.take(cum, ac, axis=1)
+                num = np.take(w2 if full else w2[rows], cols, axis=1)
+                num -= s_sel
+                valsr = np.full(num.shape, np.inf)
+                np.divide(
+                    num, np.take(cnt, cols, axis=1), out=valsr,
+                    where=np.take(selr, cols, axis=1),
+                )
+                startr = ta.path_chmin(dc, ac, valsr, np.inf)
                 bad_r, bad_t = np.nonzero(remr & np.isinf(startr))
                 if bad_r.size:  # pragma: no cover
                     raise InvariantViolation(
                         f"uncovered edge {int(bad_t[0])} has no "
                         "non-tight covering link"
                     )
-                if full:
-                    y2[remr] = np.maximum(startr[remr], 0.0)
-                else:
-                    y2r = y2[rows]
-                    y2r[remr] = np.maximum(startr[remr], 0.0)
-                    y2[rows] = y2r
+                y2r[remr] = np.maximum(startr[remr], 0.0)
+                aggregates = 4
             else:
-                if full:
-                    y2[remr] *= 1.0 + eps
-                else:
-                    y2r = y2[rows]
-                    y2r[remr] *= 1.0 + eps
-                    y2[rows] = y2r
-            cumr = ta.ancestor_sums_2d(y2 if full else y2[rows])
-            for s in rows.tolist():
-                logs[s].record("aggregate")
+                y2r[remr] *= 1.0 + eps
+                aggregates = 2
+            if not full:
+                y2[rows] = y2r
+            cum = ta.ancestor_sums(y2r)
 
             # Collect edges whose dual constraint is (numerically) tight.
-            s_actr = fbuf_a[:r]
-            np.subtract(cumr[:, dec], cumr[:, anc], out=s_actr)
             tightr = np.greater_equal(
-                s_actr, w2_tol if full else w2_tol[rows], out=bbuf_a[:r]
+                edge_sums(cum, r), w2_tol if full else w2_tol[rows],
+                out=bbuf[:r],
             )
-            np.logical_and(tightr, np.logical_not(in_ar, out=bbuf_b[:r]),
-                           out=tightr)
+            tightr &= ~in_ar
             new_r, new_e = np.nonzero(tightr)
+            # Aggregates per iteration: every non-tree edge computes s(e);
+            # the first iteration adds |S_e^k|, the start-value chmin and
+            # s(e) under the start duals, later ones s(e) after the raise.
+            for s in rows.tolist():
+                logs[s].record("aggregate", aggregates)
             if new_r.size:
                 new_s = rows[new_r]
                 in_a2[new_s, new_e] = True
                 for s, eid in zip(new_s.tolist(), new_e.tolist()):
                     epoch_added[s][eid] = k
                     added[s].append(eid)
-                np.add.at(cover_delta2, (new_s, dec[new_e]), 1)
-                np.add.at(cover_delta2, (new_s, anc[new_e]), -1)
+                np.add.at(cover_flat, new_s * n + dec[new_e], 1)
+                np.add.at(cover_flat, new_s * n + anc[new_e], -1)
                 upd = np.unique(new_s)
                 for s in upd.tolist():
                     logs[s].record("aggregate")  # tree edges learn coverage
-                counts = FastCoverageCounter.counts_2d(ta, cover_delta2[upd])
+                counts = ta.subtree_counts(cover_delta2[upd])
                 newly = ~covered2[upd] & (counts > 0)
                 newly[:, tree.root] = False
                 covered2[upd] |= newly
@@ -373,7 +248,7 @@ def forward_phase_fast_batch(
             for s in rows.tolist():
                 logs[s].record("broadcast")  # "is layer k fully covered?"
             still = remaining2.any(axis=1)
-            for s in np.flatnonzero(live & ~still):
+            for s in np.flatnonzero(live & ~still).tolist():
                 iters[s][k] = iteration
             live = still
 

@@ -22,6 +22,15 @@ exactness contract the differential suite relies on:
   reference segment tree (minimum of a set of doubles does not depend on
   association order).
 
+The three per-vertex kernels (:func:`ancestor_sums_levels`,
+:func:`subtree_counts`, :func:`path_chmin`) take one row or many: a 1-D
+argument is one scenario, a C-order ``(S, ·)`` argument is ``S`` scenarios
+over the same tree, addressed through flat ``row * n + vertex`` indices so
+that one row costs what the plain 1-D gather costs.  Row ``s`` of a
+many-row call equals the one-row call on row ``s`` bit for bit: rows never
+mix, and each output element is produced by the same operations either
+way.
+
 All functions take plain numpy arrays so they can be unit-tested against
 the reference tree structures directly (``tests/test_fast_kernels.py``).
 """
@@ -33,17 +42,14 @@ from repro.fast import require_numpy
 __all__ = [
     "INT_SENTINEL",
     "ancestor_sums_levels",
-    "ancestor_sums_levels_2d",
     "batch_ancestor_at_depth",
     "batch_lca",
     "build_lift_table",
     "depth_levels",
     "min_weight_crossing",
     "path_chmin",
-    "path_chmin_2d",
     "path_cover_counts",
     "subtree_counts",
-    "subtree_counts_2d",
 ]
 
 _np = None
@@ -79,6 +85,18 @@ def depth_levels(depth):
     ]
 
 
+def _row_offsets(values, n):
+    """``row * n`` as an ``(S, 1)`` column, or ``None`` for a single row.
+
+    Row 0's flat indices are the vertex indices themselves, so one row —
+    1-D or ``(1, n)`` — indexes with the plain per-vertex arrays.
+    """
+    np = _numpy()
+    if values.ndim == 1 or values.shape[0] == 1:
+        return None
+    return (np.arange(values.shape[0], dtype=np.int64) * n)[:, None]
+
+
 def ancestor_sums_levels(levels, parent, values):
     """Root-to-vertex prefix sums, bit-identical to the reference loop.
 
@@ -87,59 +105,45 @@ def ancestor_sums_levels(levels, parent, values):
     :meth:`~repro.trees.pathops.TreePathOps.ancestor_sums`).  Because each
     element is still computed by exactly one ``parent + value`` addition,
     the result equals the sequential Python recurrence bit for bit.
+    ``values`` is one ``(n,)`` row or an ``(S, n)`` stack; the result has
+    its shape.
     """
     np = _numpy()
-    cum = np.zeros(len(parent), dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    cum = np.zeros_like(values)
+    flat = cum.reshape(-1)
+    vals = values.reshape(-1)
+    offs = _row_offsets(values, len(parent))
     for lvl in levels[1:]:
-        cum[lvl] = cum[parent[lvl]] + values[lvl]
-    return cum
-
-
-def ancestor_sums_levels_2d(levels, parent, values2):
-    """Scenario-batched :func:`ancestor_sums_levels`: ``(S, n)`` in and out.
-
-    Row ``s`` of the result equals ``ancestor_sums_levels(levels, parent,
-    values2[s])`` bit for bit: the recurrence is evaluated level by level
-    exactly as in the 1-D kernel, so each output double is still produced
-    by the one ``parent + value`` IEEE-754 addition of the reference loop
-    — the scenario axis only widens the gather, it never reassociates.
-    """
-    np = _numpy()
-    cum = np.zeros_like(values2)
-    for lvl in levels[1:]:
-        cum[:, lvl] = cum[:, parent[lvl]] + values2[:, lvl]
+        plvl = parent[lvl]
+        if offs is not None:
+            lvl = (offs + lvl).reshape(-1)
+            plvl = (offs + plvl).reshape(-1)
+        flat[lvl] = flat[plvl] + vals[lvl]
     return cum
 
 
 def subtree_counts(tin, tout, delta):
     """Per-vertex sums of ``delta`` over subtrees, via the Euler tour.
 
-    ``delta`` is an int64 per-vertex array; returns ``counts`` with
-    ``counts[v] = sum of delta over the subtree rooted at v``.  Pure
-    integer arithmetic — exact for the coverage-count bookkeeping.
+    ``delta`` is an int64 per-vertex array — one ``(n,)`` row or an
+    ``(S, n)`` stack; returns ``counts`` of the same shape with
+    ``counts[v] = sum of delta over the subtree rooted at v`` per row.
+    One prefix sum runs over the flattened stack: a row's Euler interval
+    ``[s*n + tin[v], s*n + tout[v])`` never leaves row ``s``, so the
+    carry from earlier rows cancels in the difference.  Pure integer
+    arithmetic — exact for the coverage-count bookkeeping.
     """
     np = _numpy()
-    arr = np.zeros(len(delta), dtype=np.int64)
-    arr[tin] = delta
+    delta = np.asarray(delta, dtype=np.int64)
+    offs = _row_offsets(delta, len(tin))
+    if offs is not None:
+        tin = (offs + tin).reshape(-1)
+        tout = (offs + tout).reshape(-1)
+    arr = np.zeros(delta.size, dtype=np.int64)
+    arr[tin] = delta.reshape(-1)
     pref = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(arr)))
-    return pref[tout] - pref[tin]
-
-
-def subtree_counts_2d(tin, tout, delta2):
-    """Scenario-batched :func:`subtree_counts`: one Euler pass per row.
-
-    ``delta2`` is ``(S, n)`` int64; row ``s`` of the result equals
-    ``subtree_counts(tin, tout, delta2[s])`` — pure integer arithmetic,
-    exact regardless of batching.
-    """
-    np = _numpy()
-    arr = np.zeros_like(delta2)
-    arr[:, tin] = delta2
-    pref = np.concatenate(
-        (np.zeros((arr.shape[0], 1), dtype=arr.dtype), np.cumsum(arr, axis=1)),
-        axis=1,
-    )
-    return pref[:, tout] - pref[:, tin]
+    return (pref[tout] - pref[tin]).reshape(delta.shape)
 
 
 def min_weight_crossing(tin, tout, a, b, weights, cut_child):
@@ -254,95 +258,50 @@ def path_chmin(up, depth, n, dec, anc, values, identity):
     runs from ``dec[i]`` up to (exclusive) ``anc[i]`` and carries
     ``values[i]``; the result ``ans`` (length ``n``, ``identity`` where no
     path covers) satisfies ``ans[t] = min over covering i of values[i]``.
+    ``values`` may also be an ``(S, m)`` stack over the same paths, giving
+    an ``(S, n)`` result; an entry equal to ``identity`` marks a path the
+    row does not contribute, so per-row path selection lives in the value
+    matrix.
 
     Sparse-table scheme on the tree: a path of edge-length ``L`` with
     ``k = floor(log2 L)`` is covered by the two ancestor blocks of length
     ``2^k`` anchored at ``dec`` and at the ancestor of ``dec`` at depth
-    ``depth[anc] + 2^k``; blocks are scattered with ``np.minimum.at`` and
-    pushed down one level at a time.  Integer keys give exact lexicographic
-    minima (encode ``(primary, index)`` as ``primary * count + index``);
-    float values give the same minimum as the reference segment tree.
+    ``depth[anc] + 2^k``; blocks are scattered with ``np.minimum.at`` into
+    a ``(k, row * n + vertex)`` table and pushed down one level at a time.
+    The block decomposition depends on the paths only, so it is computed
+    once for all rows.  Integer keys give exact lexicographic minima
+    (encode ``(primary, index)`` as ``primary * count + index``); float
+    values give the same minimum as the reference segment tree.
     """
     np = _numpy()
-    dtype = np.asarray(values).dtype
+    values = np.asarray(values)
     dec = np.asarray(dec, dtype=np.int64)
     anc = np.asarray(anc, dtype=np.int64)
-    if dec.size == 0:
-        return np.full(n, identity, dtype=dtype)
+    shape = values.shape[:-1] + (n,)
+    flat_vals = values.reshape(-1)
+    # Identity entries would scatter as no-ops: drop them up front.
+    hit = np.flatnonzero(flat_vals != identity)
+    if hit.size == 0:
+        return np.full(shape, identity, dtype=values.dtype)
     length = depth[dec] - depth[anc]  # >= 1 for valid vertical paths
     # floor(log2(L)) via frexp: exact for int64 magnitudes below 2^53.
     k = (np.frexp(length.astype(np.float64))[1] - 1).astype(np.int64)
     top = batch_ancestor_at_depth(up, depth, dec, depth[anc] + (1 << k))
-    kmax = int(k.max())
-    table = np.full((kmax + 1, n), identity, dtype=dtype)
-    for kk in range(kmax + 1):
-        sel = np.flatnonzero(k == kk)
-        if sel.size:
-            np.minimum.at(table[kk], dec[sel], values[sel])
-            np.minimum.at(table[kk], top[sel], values[sel])
+    row, path = np.divmod(hit, len(dec))
+    vals = flat_vals[hit]
+    kp = k[path]
+    stride = values.size // len(dec) * n
+    kmax = int(kp.max())
+    table = np.full((kmax + 1, stride), identity, dtype=values.dtype)
+    at = kp * stride + row * n
+    np.minimum.at(table.reshape(-1), at + dec[path], vals)
+    np.minimum.at(table.reshape(-1), at + top[path], vals)
     for kk in range(kmax, 0, -1):
-        row = table[kk]
-        live = np.flatnonzero(row != identity)
+        level = table[kk]
+        live = np.flatnonzero(level != identity)
         if live.size == 0:
             continue
-        np.minimum(table[kk - 1], row, out=table[kk - 1])
-        np.minimum.at(table[kk - 1], up[kk - 1][live], row[live])
-    return table[0]
-
-
-def path_chmin_2d(up, depth, n, dec, anc, values2, identity):
-    """Scenario-batched :func:`path_chmin` over one shared path structure.
-
-    ``dec``/``anc`` are the *shared* per-edge path columns (length ``m``,
-    topology-only); ``values2`` is ``(S, m)`` with ``identity`` marking
-    edges a scenario does not contribute (scattering the identity into a
-    minimum is a no-op, so per-scenario edge selection is encoded in the
-    value matrix instead of per-scenario index arrays).  Row ``s`` of the
-    ``(S, n)`` result equals ``path_chmin(up, depth, n, dec[sel], anc[sel],
-    values2[s, sel], identity)`` for ``sel = values2[s] != identity``:
-    the block decomposition (``k``, ``top``) is a pure function of the
-    shared paths, and a minimum of a set of doubles does not depend on
-    association order, so batching cannot change any output bit.
-    """
-    np = _numpy()
-    values2 = np.asarray(values2)
-    dec = np.asarray(dec, dtype=np.int64)
-    anc = np.asarray(anc, dtype=np.int64)
-    scenarios = values2.shape[0]
-    if dec.size == 0:
-        return np.full((scenarios, n), identity, dtype=values2.dtype)
-
-    # Scatter targets (dec / top blocks, ancestor pushdown) are pure
-    # topology shared by every scenario, so each scatter-min is a
-    # group-by-target minimum: sort the shared targets once, then one
-    # ``np.minimum.reduceat`` covers all scenario rows in a single
-    # buffered pass.  A per-element ``np.minimum.at`` over ``(S, m)``
-    # index pairs walks point by point and dominated large batches.
-    # Everything runs transposed — ``(edges-or-nodes, S)`` C-contiguous —
-    # so the axis-0 reduceat reduces whole scenario rows at a time
-    # instead of strided single elements.
-    def _scatter_min(out_t, targets, vals_t, sel=None):
-        order = np.argsort(targets, kind="stable")
-        uniq, starts = np.unique(targets[order], return_index=True)
-        rows = order if sel is None else sel[order]
-        mins = np.minimum.reduceat(vals_t[rows], starts, axis=0)
-        out_t[uniq] = np.minimum(out_t[uniq], mins)
-
-    length = depth[dec] - depth[anc]  # >= 1 for valid vertical paths
-    k = (np.frexp(length.astype(np.float64))[1] - 1).astype(np.int64)
-    top = batch_ancestor_at_depth(up, depth, dec, depth[anc] + (1 << k))
-    kmax = int(k.max())
-    values_t = np.ascontiguousarray(values2.T)
-    table = np.full((kmax + 1, n, scenarios), identity, dtype=values2.dtype)
-    for kk in range(kmax + 1):
-        sel = np.flatnonzero(k == kk)
-        if sel.size:
-            _scatter_min(table[kk], dec[sel], values_t, sel)
-            _scatter_min(table[kk], top[sel], values_t, sel)
-    for kk in range(kmax, 0, -1):
-        row = table[kk]
-        np.minimum(table[kk - 1], row, out=table[kk - 1])
-        # Scattering identity entries too is a no-op for a minimum, so
-        # no live-filtering is needed before the grouped pushdown.
-        _scatter_min(table[kk - 1], up[kk - 1], row)
-    return np.ascontiguousarray(table[0].T)
+        np.minimum(table[kk - 1], level, out=table[kk - 1])
+        v = live % n
+        np.minimum.at(table[kk - 1], live - v + up[kk - 1][v], level[live])
+    return table[0].reshape(shape)

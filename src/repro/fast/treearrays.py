@@ -3,7 +3,9 @@
 :class:`TreeArrays` freezes one :class:`~repro.trees.rooted.RootedTree`
 into flat int64/float64 arrays (parent, depth, Euler intervals, depth
 levels, binary-lifting table) and exposes the kernel entry points bound to
-them.  :class:`InstanceArrays` adds the per-instance columns — the CSR-style
+them; the prefix-sum, subtree-count and path-chmin kernels take one row or
+an ``(S, ·)`` stack of scenario rows.  :class:`InstanceArrays` adds the
+per-instance columns — the CSR-style
 virtual-edge arrays ``dec``/``anc``/``weight`` (the tree-edge × non-tree-
 edge incidence is implicit: edge ``i`` covers exactly the vertical chain
 ``dec[i] .. anc[i]``, which every kernel exploits) plus the layering
@@ -27,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.instance import TAPInstance
     from repro.trees.rooted import RootedTree
 
-__all__ = ["TreeArrays", "InstanceArrays", "ScenarioArrays"]
+__all__ = ["TreeArrays", "InstanceArrays"]
 
 
 class TreeArrays:
@@ -84,22 +86,6 @@ class TreeArrays:
         """Per-tree-edge min over covering vertical paths (see kernels)."""
         return K.path_chmin(
             self.up, self.depth, self.n, dec, anc, values, identity
-        )
-
-    # -- scenario-batched kernels (2-D: scenarios x vertices/edges) ---------
-
-    def ancestor_sums_2d(self, values2):
-        """Row-batched :meth:`ancestor_sums`: ``(S, n)`` in and out."""
-        return K.ancestor_sums_levels_2d(self.levels, self.parent, values2)
-
-    def subtree_counts_2d(self, delta2):
-        """Row-batched :meth:`subtree_counts` over an ``(S, n)`` delta."""
-        return K.subtree_counts_2d(self.tin, self.tout, delta2)
-
-    def path_chmin_2d(self, dec, anc, values2, identity):
-        """Row-batched :meth:`path_chmin` over one shared path structure."""
-        return K.path_chmin_2d(
-            self.up, self.depth, self.n, dec, anc, values2, identity
         )
 
 
@@ -163,76 +149,3 @@ class InstanceArrays:
             arr = np.asarray(layering.nearest_in_layer(i), dtype=np.int64)
             self._nla[i] = arr
         return arr
-
-
-class ScenarioArrays:
-    """A scenario axis over one shared :class:`InstanceArrays` structure.
-
-    The 2-D promotion of the instance view: everything that depends only
-    on the tree and the virtual-edge *structure* (``ta``, ``dec``, ``anc``,
-    the layering columns) stays the single shared 1-D object, and only the
-    weight column widens to the ``(scenarios, edges)`` matrix ``weight2``
-    — the invariant the scenario-batched forward phase
-    (:func:`repro.fast.forward.forward_phase_fast_batch`) is built on.
-    Built from the per-scenario :class:`InstanceArrays` clones that
-    :meth:`InstanceArrays.reweighted` produces, which share their
-    structure object-for-object; :meth:`from_instances` checks exactly
-    that, so a caller cannot silently stack incompatible instances.
-    """
-
-    __slots__ = ("base", "weight2")
-
-    def __init__(self, base: "InstanceArrays", weight2) -> None:
-        self.base = base
-        self.weight2 = weight2
-
-    @classmethod
-    def from_instances(cls, instances) -> "ScenarioArrays":
-        """Stack the weight columns of structure-sharing TAP instances.
-
-        Every instance must hold the same ``TreeArrays`` and ``dec``/``anc``
-        objects (the :meth:`InstanceArrays.reweighted` contract); the
-        result's ``weight2[s]`` is instance ``s``'s weight column.
-        """
-        np = require_numpy()
-        arrays = [inst.arrays for inst in instances]
-        base = arrays[0]
-        for other in arrays[1:]:
-            if (
-                other.ta is not base.ta
-                or other.dec is not base.dec
-                or other.anc is not base.anc
-            ):
-                raise ValueError(
-                    "ScenarioArrays needs instances sharing one virtual-edge "
-                    "structure (build them via InstanceArrays.reweighted)"
-                )
-        weight2 = np.stack([a.weight for a in arrays]).astype(
-            np.float64, copy=False
-        )
-        return cls(base, weight2)
-
-    @property
-    def ta(self) -> TreeArrays:
-        """The shared tree arrays (1-D, topology-owned)."""
-        return self.base.ta
-
-    @property
-    def dec(self):
-        """Shared per-edge descendant endpoints (1-D, structure-owned)."""
-        return self.base.dec
-
-    @property
-    def anc(self):
-        """Shared per-edge ancestor endpoints (1-D, structure-owned)."""
-        return self.base.anc
-
-    @property
-    def layer(self):
-        """Shared per-vertex layer numbers (1-D, structure-owned)."""
-        return self.base.layer
-
-    @property
-    def scenarios(self) -> int:
-        """Number of stacked scenarios (rows of ``weight2``)."""
-        return int(self.weight2.shape[0])

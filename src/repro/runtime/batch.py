@@ -1,36 +1,39 @@
 """Scenario-batched solving: many weight columns through one kernel pass.
 
 The dominant production traffic shape is one topology × many weight
-scenarios (Monte-Carlo what-if sweeps, failure studies).  The scalar path
-(:meth:`repro.runtime.session.SolverSession.solve_many`) pays the full
-per-scenario pipeline — nx Kruskal, link filtering, instance build, the
-forward phase — once per scenario even though almost everything it
-computes is a pure function of the *tree*, which scenario perturbations
-rarely change.  This module restructures a compatible batch around that:
+scenarios (Monte-Carlo what-if sweeps, failure studies).  Solving them one
+at a time pays the full per-scenario pipeline — Kruskal, link filtering,
+instance build, the forward phase — once per scenario even though almost
+everything it computes is a pure function of the *tree*, which scenario
+perturbations rarely change.
+:meth:`repro.runtime.session.SolverSession.solve_many` routes every
+compatible group of two or more fast-backend queries here, and this
+module restructures the group around that:
 
-1. **Columns** — queries are deduplicated by weight column; each distinct
-   column gets its MST from :func:`stable_kruskal_mst`, a vectorized
-   stable-sort Kruskal over the handle's flat edge arrays that reproduces
-   :func:`repro.core.tecss.rooted_mst` edge for edge (same lexicographic
-   ``(weight, edge-position)`` tie-break) without materializing an
-   ``nx.Graph``.
+1. **Columns** — queries are deduplicated by weight column (value *and*
+   type, :func:`~repro.runtime.handle.weights_token`); a column that
+   provably keeps the session's base MST reuses it, every other column
+   gets its MST from :func:`repro.core.tecss.stable_kruskal_mst`, the one
+   MST builder, over the handle's flat edge arrays.
 2. **Tree groups** — columns with the same MST share one *structure*: one
    rooted tree, one link list shape, one virtual-edge structure, one set
-   of kernel tree arrays.  The group leader builds them; every other
-   column derives its :class:`~repro.core.instance.TAPInstance` by
-   patching the weight column alone (the dense generalization of the
-   delta path's :meth:`~repro.runtime.plan.SolverPlan._derive_instance`).
+   of kernel tree arrays.  The group leader provides them — for the base
+   tree, the session's pinned base plan, so a warm session builds no
+   structure at all; every other column derives its
+   :class:`~repro.core.instance.TAPInstance` by patching the weight column
+   alone (the dense generalization of the delta path's
+   :meth:`~repro.runtime.plan.SolverPlan._derive_instance`).
 3. **One forward pass per group** —
    :func:`repro.fast.forward.forward_phase_fast_batch` runs the epoch
    loop for all of a group's scenarios as ``(scenarios × edges)`` kernel
    calls; reverse-delete, certificates and assembly then run per scenario
    on the scenario's own instance.
 
-Bit-identity: every step either shares an object the scalar path would
-have computed (tree, links structure) or re-applies the scalar path's
-exact arithmetic on a widened array, so the per-scenario results equal a
-looped :meth:`~repro.runtime.session.SolverSession.solve_many` field for
-field — held by ``tests/test_scenario_batch.py``.
+Bit-identity: every step either shares an object the one-query path
+would have computed (tree, links structure) or re-applies its exact
+arithmetic on a widened array, so the per-scenario results equal
+:meth:`~repro.runtime.session.SolverSession.solve` field for field — held
+by ``tests/test_scenario_batch.py``.
 """
 
 from __future__ import annotations
@@ -42,61 +45,16 @@ from repro import obs
 from repro.core.instance import TAPInstance
 from repro.core.reverse import COVER_BOUND, reverse_delete
 from repro.core.tap import _certificates, assemble_tap_result
-from repro.core.tecss import assemble_two_ecss
+from repro.core.tecss import assemble_two_ecss, stable_kruskal_mst
 from repro.fast import require_numpy
-from repro.runtime.handle import GraphHandle
-from repro.runtime.plan import SolverPlan, _links_from_handle
+from repro.runtime.handle import GraphHandle, weights_token
+from repro.runtime.plan import SolverPlan, _mst_weight
 from repro.trees.rooted import RootedTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.session import SolveQuery, SolverSession
 
-__all__ = ["solve_scenario_group", "stable_kruskal_mst"]
-
-
-def stable_kruskal_mst(
-    handle: GraphHandle, column: Any
-) -> list[tuple[int, int]]:
-    """The MST edge list of one weight column, without an ``nx.Graph``.
-
-    ``column`` is the handle's weight column as a float64 array aligned
-    with ``handle.edges``.  Kruskal's algorithm over
-    ``argsort(column, kind="stable")`` visits edges in ascending
-    ``(weight, edge-position)`` order — exactly the order
-    ``nx.minimum_spanning_tree`` (stable sort over the graph's
-    edge-iteration order, which the handle preserves) uses — and the
-    accepted edge *set* of Kruskal depends only on that order, not on the
-    union-find implementation.  The returned list is sorted normalized
-    pairs, matching :func:`repro.core.tecss.rooted_mst` exactly.
-    """
-    np = require_numpy()
-    a, b = handle._endpoint_arrays
-    order = np.argsort(np.asarray(column, dtype=np.float64), kind="stable")
-    parent = list(range(handle.n))
-    size = [1] * handle.n
-    chosen: list[tuple[int, int]] = []
-    need = handle.n - 1
-    for pos in order.tolist():
-        ru = int(a[pos])
-        while parent[ru] != ru:
-            parent[ru] = parent[parent[ru]]
-            ru = parent[ru]
-        rv = int(b[pos])
-        while parent[rv] != rv:
-            parent[rv] = parent[parent[rv]]
-            rv = parent[rv]
-        if ru == rv:
-            continue
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        u, v = int(a[pos]), int(b[pos])
-        chosen.append((u, v) if u < v else (v, u))
-        if len(chosen) == need:
-            break
-    chosen.sort()
-    return chosen
+__all__ = ["solve_scenario_group"]
 
 
 @dataclass
@@ -117,19 +75,29 @@ def _seed_plan(handle: GraphHandle, group: _TreeGroup) -> SolverPlan:
     """A plan for ``handle`` seeded with the group's already-known MST.
 
     Mirrors what :meth:`SolverPlan.from_delta` seeds after a reused-tree
-    maintenance run: the shared tree object, the in-order MST weight sum
-    (same weight objects, same order — bit-identical to the lazy
-    ``mst_weight``), and a links builder over the handle's flat arrays.
+    maintenance run: the shared tree object and the MST weight under this
+    handle's weights.  Links then build lazily from the handle's flat
+    arrays, exactly as on a fresh plan.
     """
     plan = SolverPlan(handle)
-    plan.__dict__["_mst"] = (group.tree, group.mst_edges)
-    pair_index = handle._pair_index
-    plan.__dict__["mst_weight"] = sum(
-        handle.weights[pair_index[e]] for e in group.mst_edges
+    plan.__dict__["_mst"] = (
+        group.tree, group.mst_edges, _mst_weight(handle, group.mst_edges)
     )
-    mst_set = set(group.mst_edges)
-    plan._links_builder = lambda: _links_from_handle(handle, mst_set)
     return plan
+
+
+def _lead(group: _TreeGroup, plan: SolverPlan) -> TAPInstance:
+    """Make ``plan`` the group leader; returns its full fast instance."""
+    np = require_numpy()
+    group.leader_plan = plan
+    inst = plan.instance("fast")
+    # Touch the lazy structure artifacts once so every derived
+    # scenario shares them instead of rebuilding per scenario.
+    inst.layering
+    inst.hld
+    inst.segments
+    group.link_pos = np.asarray(plan._link_edge_pos, dtype=np.int64)
+    return inst
 
 
 def _group_instance(
@@ -137,27 +105,18 @@ def _group_instance(
 ) -> TAPInstance:
     """The plan's fast instance, derived from the group leader when possible.
 
-    The first plan of a group builds the full structure (virtual-edge
-    columns, layering, HLD, segments, kernel arrays) and becomes the
-    leader; later plans clone it with only the weight column rewritten —
-    the same derivation :meth:`SolverPlan._derive_instance` performs for
-    sparse deltas, generalized to a whole-column patch via the leader's
-    link-position array (``weights64[link_pos]`` equals the ``float()``
-    casts of a fresh link build, value for value).
+    The first plan of a leaderless group builds the full structure
+    (virtual-edge columns, layering, HLD, segments, kernel arrays) and
+    becomes the leader; later plans clone it with only the weight column
+    rewritten — the same derivation :meth:`SolverPlan._derive_instance`
+    performs for sparse deltas, generalized to a whole-column patch via
+    the leader's link-position array (``weights64[link_pos]`` equals the
+    ``float()`` casts of a fresh link build, value for value).
     """
     from repro.core.virtual_graph import VirtualEdgeColumns
 
-    np = require_numpy()
     if group.leader_plan is None:
-        group.leader_plan = plan
-        inst = plan.instance("fast")
-        # Touch the lazy structure artifacts once so every derived
-        # scenario shares them instead of rebuilding per scenario.
-        inst.layering
-        inst.hld
-        inst.segments
-        group.link_pos = np.asarray(plan._link_edge_pos, dtype=np.int64)
-        return inst
+        return _lead(group, plan)
     leader_inst = group.leader_plan.instance("fast")
     cols = leader_inst.edges
     if not isinstance(cols, VirtualEdgeColumns):  # pragma: no cover - guard
@@ -189,9 +148,9 @@ def solve_scenario_group(
 
     ``queries`` share ``eps``/``variant``/``segmented``/``validate``, the
     local engine, ``k=2``, the fast compute flavor, and carry no failure
-    plans — :meth:`SolverSession.solve_batch_vectorized` enforces that
-    before calling here.  Results come back aligned with ``queries`` and
-    bit-identical to the scalar path.
+    plans — :meth:`SolverSession.solve_many` enforces that before calling
+    here.  Results come back aligned with ``queries`` and bit-identical to
+    the one-query path.
     """
     from repro.fast.forward import forward_phase_fast_batch
 
@@ -209,10 +168,11 @@ def solve_scenario_group(
         handle = (
             base if query.weights is None else base.reweight(query.weights)
         )
-        at = seen.get(handle.weights)
+        key = weights_token(handle.weights)
+        at = seen.get(key)
         if at is None:
             at = len(handles)
-            seen[handle.weights] = at
+            seen[key] = at
             handles.append(handle)
         scenario_of.append(at)
 
@@ -227,13 +187,16 @@ def solve_scenario_group(
     # other accepted edges.  Either way every accept/reject decision is
     # unchanged.)  Monte-Carlo sweeps perturb a handful of edges per
     # scenario, so this turns the grouping stage from O(scenarios * m)
-    # union-finds into O(scenarios) vector compares.
+    # union-finds into O(scenarios) vector compares.  The base tree and
+    # its full instance come from the session's pinned base plan, built
+    # once per session rather than once per call.
+    base_plan = session.base_plan()
+    base_mst = base_plan.mst_edges
     base_col = np.asarray(base.weights, dtype=np.float64)
-    base_mst = stable_kruskal_mst(base, base_col)
     base_in_tree = np.zeros(base.m, dtype=bool)
-    edge_pos = {e: i for i, e in enumerate(base.edges)}
+    pair_index = base._pair_index
     for e in base_mst:
-        base_in_tree[edge_pos[e]] = True
+        base_in_tree[pair_index[e]] = True
 
     groups: dict[tuple, _TreeGroup] = {}
     with obs.span("batch.group", scenarios=len(handles)) as group_span:
@@ -251,14 +214,22 @@ def solve_scenario_group(
             ):
                 mst_edges = base_mst
             else:
-                mst_edges = stable_kruskal_mst(handle, column64)
+                mst_edges, _ = stable_kruskal_mst(
+                    handle.n, handle.edges, handle.weights
+                )
             tree_key = tuple(mst_edges)
             group = groups.get(tree_key)
             if group is None:
-                group = _TreeGroup(
-                    tree=RootedTree.from_edges(handle.n, mst_edges, root=0),
-                    mst_edges=mst_edges,
-                )
+                if mst_edges == base_mst:
+                    group = _TreeGroup(tree=base_plan.tree, mst_edges=base_mst)
+                    _lead(group, base_plan)
+                else:
+                    group = _TreeGroup(
+                        tree=RootedTree.from_edges(
+                            handle.n, mst_edges, root=0
+                        ),
+                        mst_edges=mst_edges,
+                    )
                 groups[tree_key] = group
             plan = _seed_plan(handle, group)
             inst = _group_instance(plan, group, column64)

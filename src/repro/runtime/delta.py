@@ -1,11 +1,11 @@
 """Swap-edge MST maintenance for sparse reweights (the delta-solve core).
 
-:func:`repro.core.tecss.rooted_mst` computes the MST with networkx's
-Kruskal, whose tie-break is fully deterministic: edges are *stably* sorted
-by weight in the graph's edge-iteration order — which
-:attr:`repro.runtime.handle.GraphHandle.edges` preserves from the input —
-so the effective comparison key of edge ``i`` is the lexicographic pair
-``(weight_i, i)`` and the MST is unique under it.  That uniqueness is what
+:func:`repro.core.tecss.stable_kruskal_mst`, the one MST builder, runs
+Kruskal with a fully deterministic tie-break: edges are *stably* sorted by
+weight in the handle's edge order
+(:attr:`repro.runtime.handle.GraphHandle.edges`, the input graph's
+edge-iteration order) — so the effective comparison key of edge ``i`` is
+the lexicographic pair ``(weight_i, i)`` and the MST is unique under it.  That uniqueness is what
 makes incremental maintenance *exact*: this module replays a sparse weight
 diff one edge at a time, applying the classic swap rules under the same
 ``(weight, position)`` key, and provably lands on the tree a fresh
@@ -68,8 +68,8 @@ class DeltaFallback(Exception):
 class DeltaOutcome:
     """The result of :func:`maintain_mst` for one sparse diff.
 
-    ``mst_edges`` is sorted exactly like :func:`~repro.core.tecss.rooted_mst`
-    output; ``tree`` is the parent's :class:`RootedTree` object when
+    ``mst_edges`` is sorted exactly like
+    :func:`~repro.core.tecss.stable_kruskal_mst` output; ``tree`` is the parent's :class:`RootedTree` object when
     ``changed_tree`` is false (so every tree-derived artifact can be
     shared) and a freshly rooted tree otherwise.  ``swaps`` records
     ``(removed, added)`` edge pairs for observability.
@@ -351,7 +351,7 @@ def _maintain_mst(
     if not swaps:
         return DeltaOutcome(False, tree, mst_edges, swaps)
     out_edges = sorted(tset)
-    # Rebuild exactly as rooted_mst does: from the *sorted* edge list.
+    # Root exactly as a fresh plan does: from the *sorted* edge list.
     return DeltaOutcome(
         True, RootedTree.from_edges(n, out_edges, root=0), out_edges, swaps
     )

@@ -45,7 +45,7 @@ try:  # numpy is optional project-wide; the CSR view degrades to lists
 except ImportError:  # pragma: no cover - the CI image bakes numpy in
     _np = None
 
-__all__ = ["GraphHandle"]
+__all__ = ["GraphHandle", "weights_token"]
 
 
 def _canonical_weight(w: Any) -> Any:
@@ -56,6 +56,25 @@ def _canonical_weight(w: Any) -> Any:
     are genuinely different weight columns.
     """
     return 0.0 if isinstance(w, float) and w == 0.0 else w
+
+
+def weights_token(weights: Any) -> tuple:
+    """A hashable key of a weight column or mapping that tells ``1`` from ``1.0``.
+
+    Tuple equality says ``1 == 1.0``, but a weight's type reaches the
+    result (an integer column gives an integer ``mst_weight``), so
+    batch-local matching of weight inputs compares the values *and* their
+    types.  Mapping values (weight mappings and sparse deltas) are keyed
+    the same way.  Much cheaper than :attr:`GraphHandle.weights_key`,
+    which reprs and hashes the whole column.  Raises ``TypeError`` for
+    unhashable input.
+    """
+    if isinstance(weights, Mapping):
+        return (
+            "map", frozenset((key, w, type(w)) for key, w in weights.items())
+        )
+    values = tuple(weights)
+    return ("col", values, tuple(map(type, values)))
 
 
 class GraphHandle:
@@ -415,11 +434,12 @@ class GraphHandle:
     def diameter(self) -> int:
         """Graph diameter when ``n <= 4000``, else ``-1`` (topology-only).
 
-        Matches the rule of
-        :func:`repro.core.tecss.assemble_two_ecss` and is shared by
-        reference across :meth:`reweight` variants — the single biggest
-        rebuild cost the session amortizes on mid-size graphs.  Any handle
-        on the topology may compute it; all of them then see it.
+        The one owner of the result-diameter rule: every result's
+        ``diameter`` field (2-ECSS, k-ECSS, shortcut 2-ECSS) comes from
+        here through a plan.  Shared by reference across :meth:`reweight`
+        variants — the single biggest rebuild cost the session amortizes
+        on mid-size graphs.  Any handle on the topology may compute it;
+        all of them then see it.
         """
         d = self._shared.get("diameter")
         if d is None:

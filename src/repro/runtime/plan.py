@@ -4,23 +4,25 @@ The Dory–Ghaffari pipeline is a chain of artifacts that depend only on the
 graph and its weights — never on the query parameters (``eps``, ``variant``,
 ``segmented``, ``validate``) a solve is issued with:
 
-===========================  =====================================  ========
-artifact                     module                                 depends
-===========================  =====================================  ========
-validation + normalization   :mod:`repro.graphs.validation`         topology
-diameter (result metadata)   :class:`~repro.runtime.handle.GraphHandle`  topology
-MST + rooted tree            :func:`repro.core.tecss.rooted_mst`    weights
-non-tree candidate links     :func:`repro.core.tecss.nontree_links` weights
-virtual edges + ``G'``       :class:`repro.core.instance.TAPInstance`  weights
-Euler/LCA labels, HLD        :mod:`repro.trees` (via the instance)  weights
-layering, segments           :mod:`repro.decomp` (via the instance) weights
-tree/instance numpy arrays   :mod:`repro.fast.treearrays`           weights
-===========================  =====================================  ========
+===========================  ===========================================  ========
+artifact                     module                                       depends
+===========================  ===========================================  ========
+validation + normalization   :mod:`repro.graphs.validation`               topology
+diameter (result metadata)   :class:`~repro.runtime.handle.GraphHandle`   topology
+MST + rooted tree            :func:`repro.core.tecss.stable_kruskal_mst`  weights
+non-tree candidate links     :func:`_links_from_handle`                   weights
+virtual edges + ``G'``       :class:`repro.core.instance.TAPInstance`     weights
+Euler/LCA labels, HLD        :mod:`repro.trees` (via the instance)        weights
+layering, segments           :mod:`repro.decomp` (via the instance)       weights
+tree/instance numpy arrays   :mod:`repro.fast.treearrays`                 weights
+===========================  ===========================================  ========
 
 A :class:`SolverPlan` owns the weight-dependent rows for one
 :class:`~repro.runtime.handle.GraphHandle`, building each lazily and
-exactly once; the topology-only rows live on the handle itself and are
-shared across :meth:`~repro.runtime.handle.GraphHandle.reweight` variants.
+exactly once from the handle's flat edge and weight arrays — the MST,
+the links and the MST weight never touch the ``nx.Graph``; the
+topology-only rows live on the handle itself and are shared across
+:meth:`~repro.runtime.handle.GraphHandle.reweight` variants.
 The phases that *do* depend on query parameters (forward primal-dual,
 reverse-delete, certificates) run per solve in
 :class:`~repro.runtime.session.SolverSession` on top of a plan.  The
@@ -44,7 +46,7 @@ import networkx as nx
 
 from repro import obs
 from repro.core.instance import TAPInstance
-from repro.core.tecss import nontree_links, rooted_mst
+from repro.core.tecss import stable_kruskal_mst
 from repro.runtime.handle import GraphHandle
 from repro.runtime.registry import resolve_compute
 from repro.trees.rooted import RootedTree
@@ -55,12 +57,11 @@ __all__ = ["SolverPlan"]
 def _links_from_handle(
     handle: GraphHandle, mst_set: set[tuple[int, int]]
 ) -> list[tuple[int, int, float]]:
-    """:func:`nontree_links` from the handle's flat arrays, no nx.Graph.
+    """The candidate links: every non-MST edge as ``(u, v, weight)``.
 
-    ``handle.edges`` preserves the graph's edge-iteration order and the
-    weight objects are the same, so the output is identical tuple for
-    tuple — including the ``float()`` casts — while skipping the O(m)
-    ``nx.Graph`` materialization the delta path must avoid.
+    Normalized ``u < v`` pairs in the handle's edge order (the input
+    graph's edge-iteration order) with ``float()`` weights — the one links
+    builder, read off the handle's flat arrays without an ``nx.Graph``.
     """
     out = []
     for (u, v), w in zip(handle.edges, handle.weights):
@@ -68,6 +69,17 @@ def _links_from_handle(
         if key not in mst_set:
             out.append((key[0], key[1], float(w)))
     return out
+
+
+def _mst_weight(handle: GraphHandle, mst_edges: list[tuple[int, int]]) -> Any:
+    """The MST weight of a known tree, exactly as Kruskal sums it.
+
+    For plans whose MST is seeded rather than built (delta maintenance,
+    scenario tree groups): the handle's weight objects summed in
+    ``mst_edges`` order, like :func:`repro.core.tecss.stable_kruskal_mst`.
+    """
+    weights, pair_index = handle.weights, handle._pair_index
+    return sum(weights[pair_index[e]] for e in mst_edges)
 
 
 def _links_from_parent(
@@ -224,15 +236,13 @@ class SolverPlan:
             return plan
         info["swaps"] = len(outcome.swaps)
         info["mode"] = "reused" if not outcome.changed_tree else "swapped"
-        plan.__dict__["_mst"] = (outcome.tree, outcome.mst_edges)
-        pair_index = handle._pair_index
-        plan.__dict__["mst_weight"] = sum(
-            handle.weights[pair_index[e]] for e in outcome.mst_edges
+        plan.__dict__["_mst"] = (
+            outcome.tree, outcome.mst_edges,
+            _mst_weight(handle, outcome.mst_edges),
         )
-        # Links never need the nx.Graph: splice the parent's list when it
-        # is already materialized (O(k + s) instead of O(m)), else replay
-        # nontree_links from the handle's flat arrays (same edge order,
-        # same float() casts — identical output either way).
+        # Splice the parent's links when they are already materialized
+        # (O(k + s) instead of O(m)), else build them from the handle's
+        # flat arrays — identical output either way.
         if "links" in parent.__dict__:
             swaps = outcome.swaps
             plan._links_builder = lambda: _links_from_parent(
@@ -269,8 +279,17 @@ class SolverPlan:
         return self.handle.diameter
 
     @cached_property
-    def _mst(self) -> tuple[RootedTree, list[tuple]]:
-        return self._timed("mst", lambda: rooted_mst(self.g))
+    def _mst(self) -> tuple[RootedTree, list[tuple], Any]:
+        handle = self.handle
+
+        def build() -> tuple[RootedTree, list[tuple], Any]:
+            """Stable Kruskal over the handle's arrays, rooted at 0."""
+            edges, weight = stable_kruskal_mst(
+                handle.n, handle.edges, handle.weights
+            )
+            return RootedTree.from_edges(handle.n, edges, root=0), edges, weight
+
+        return self._timed("mst", build)
 
     @property
     def tree(self) -> RootedTree:
@@ -279,14 +298,17 @@ class SolverPlan:
 
     @property
     def mst_edges(self) -> list[tuple]:
-        """The MST edge list, sorted — exactly :func:`rooted_mst`'s output."""
+        """The MST edge list as sorted normalized pairs."""
         return self._mst[1]
 
-    @cached_property
+    @property
     def mst_weight(self) -> float:
-        """Total MST weight (a certified lower bound on OPT)."""
-        g = self.g
-        return sum(g[u][v]["weight"] for u, v in self.mst_edges)
+        """Total MST weight (a certified lower bound on OPT).
+
+        Summed in ``mst_edges`` order over the handle's weight objects, so
+        integer weights give an integer total.
+        """
+        return self._mst[2]
 
     @cached_property
     def links(self) -> list[tuple[int, int, float]]:
@@ -294,7 +316,8 @@ class SolverPlan:
         if self._links_builder is not None:
             return self._timed("links:delta", self._links_builder)
         return self._timed(
-            "links", lambda: nontree_links(self.g, set(self.mst_edges))
+            "links",
+            lambda: _links_from_handle(self.handle, set(self.mst_edges)),
         )
 
     @cached_property

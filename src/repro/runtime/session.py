@@ -9,10 +9,13 @@ weight assignment) and exposes:
   plan) — or a k-ECSS query via ``k > 2`` (:mod:`repro.core.k_ecss`),
   gated on the ``k-ecss`` backend capability — reusing every plan
   artifact a previous solve already built;
-* :meth:`SolverSession.solve_many` — a batch of :class:`SolveQuery`
-  records (or kwargs dicts) solved in order against the shared plan cache,
-  the API the scenario sweeps (:mod:`repro.analysis.sweep`) and the
-  session-reuse benchmark drive.
+* :meth:`SolverSession.solve_many` — the one batch entry point: a list
+  of :class:`SolveQuery` records (or kwargs dicts), results in input
+  order.  Compatible fast-backend scenarios run as one scenario-axis
+  kernel pass (:mod:`repro.runtime.batch`); everything else is solved one
+  query at a time against the shared plan cache.  The scenario sweeps
+  (:mod:`repro.analysis.sweep`), the serve workers and the session-reuse
+  benchmark drive it.
 
 **Bit-identity contract.**  A session solve returns exactly what the
 one-shot API returns for the same parameters — same edges, weights, duals,
@@ -44,9 +47,9 @@ from repro import obs
 from repro.core.instance import TAPInstance
 from repro.core.k_ecss import MAX_K
 from repro.core.tap import assemble_tap_result, solve_virtual_tap
-from repro.core.tecss import assemble_two_ecss, nontree_links
-from repro.runtime.handle import GraphHandle
-from repro.runtime.plan import SolverPlan
+from repro.core.tecss import assemble_two_ecss
+from repro.runtime.handle import GraphHandle, weights_token
+from repro.runtime.plan import SolverPlan, _links_from_handle
 from repro.runtime.registry import get_backend, resolve_compute
 from repro.trees.rooted import RootedTree
 
@@ -255,7 +258,7 @@ class SolverSession:
         counters ``delta_requests``, ``delta_tree_reuses``,
         ``delta_tree_swaps``, ``delta_fallbacks``; and the batch-path
         pair ``vectorized_batches`` / ``scalar_fallback`` counting how
-        :meth:`solve_batch_vectorized` routed its queries), the cache
+        :meth:`solve_many` routed its queries), the cache
         occupancy
         (``plans_cached`` / ``max_plans``), and ``build_times_s``: wall
         seconds per build phase (``mst``, ``links``, ``diameter``,
@@ -334,9 +337,10 @@ class SolverSession:
         """Solve one parsed query (the body of :meth:`solve`).
 
         ``plan_cache`` is :meth:`solve_many`'s batch-local weight-
-        fingerprint map: queries whose weight inputs hash equal share one
-        resolved plan without re-paying the reweight + key computation
-        (LRU ``plan_hits`` accounting is preserved for such hits).
+        token map: queries whose weight inputs are equal value for value
+        and type for type share one resolved plan without re-paying the
+        reweight + key computation (LRU ``plan_hits`` accounting is
+        preserved for such hits).
         """
         backend = (
             query.backend if query.backend is not None
@@ -475,7 +479,7 @@ class SolverSession:
                     plan.handle.n, outcome.edges, root=0
                 )
                 mst_edges = outcome.edges
-                links = nontree_links(plan.g, set(mst_edges))
+                links = _links_from_handle(plan.handle, set(mst_edges))
                 inst = TAPInstance.from_links(tree, links, backend=flavor)
         if inst is None:
             inst = plan.instance(flavor)
@@ -524,47 +528,25 @@ class SolverSession:
 
     @staticmethod
     def _weights_token(query: SolveQuery) -> object | None:
-        """A hashable fingerprint of the query's weight inputs, or ``None``.
+        """A hashable token of the query's weight inputs, or ``None``.
 
-        Two queries with equal tokens resolve to the same plan, so
-        :meth:`solve_many` shares one plan lookup across them.  ``None``
-        (no safe fingerprint) means "resolve through :meth:`plan`".
+        Two queries with equal tokens resolve to the same plan *and* the
+        same result, so :meth:`solve_many` shares one plan lookup across
+        them; the token is :func:`~repro.runtime.handle.weights_token`,
+        which tells ``1`` from ``1.0``.  ``None`` (no safe token) means
+        "resolve through :meth:`plan`".
         """
         try:
             if query.weights_delta is not None:
                 delta = query.weights_delta
                 if isinstance(delta, Mapping):
-                    return ("delta", frozenset(delta.items()))
+                    return ("delta", weights_token(delta))
                 return None
-            weights = query.weights
-            if weights is None:
+            if query.weights is None:
                 return ("base",)
-            if isinstance(weights, Mapping):
-                return ("map", frozenset(weights.items()))
-            return ("col", tuple(weights))
+            return weights_token(query.weights)
         except TypeError:  # unhashable / non-iterable: let plan() decide
             return None
-
-    def solve_many(self, queries: Iterable[SolveQuery | Mapping]) -> list:
-        """Solve a batch of queries in order against the shared plan cache.
-
-        Each query is a :class:`SolveQuery` or a kwargs mapping (unknown
-        mapping keys raise a one-line error naming the valid fields);
-        results come back in input order.  Queries whose weight inputs
-        fingerprint equal share one plan lookup — and any query with the
-        same weight column still hits the same LRU plan — so a
-        100-scenario eps/weight sweep builds each plan's artifacts
-        exactly once.
-        """
-        results = []
-        plan_cache: dict[object, SolverPlan] = {}
-        with obs.span("session.solve_many") as sp:
-            for query in queries:
-                results.append(
-                    self._solve_query(self._coerce_query(query), plan_cache)
-                )
-            sp.set(queries=len(results))
-        return results
 
     def _vectorizable(self, query: SolveQuery) -> bool:
         """Whether a query can join a scenario-vectorized kernel batch.
@@ -573,7 +555,7 @@ class SolverSession:
         local engine, ``k=2``, dense-or-default weights, no failure
         plan, no MST simulation, and a compute backend resolving to
         ``fast``.  Anything else — including a backend whose resolution
-        raises — falls back to the scalar path, which reproduces the
+        raises — takes the one-query path, which reproduces the
         scalar error semantics exactly.
         """
         if query.k != 2 or query.simulate_mst:
@@ -595,21 +577,24 @@ class SolverSession:
         except Exception:
             return False
 
-    def solve_batch_vectorized(
-        self, queries: Iterable[SolveQuery | Mapping]
-    ) -> list:
-        """Solve a batch with compatible queries fused into kernel passes.
+    def solve_many(self, queries: Iterable[SolveQuery | Mapping]) -> list:
+        """Solve a batch of queries; results come back in input order.
 
+        Each query is a :class:`SolveQuery` or a kwargs mapping (unknown
+        mapping keys raise a one-line error naming the valid fields).
         Queries that agree on ``(eps, variant, segmented, validate)`` and
         are :meth:`_vectorizable` run as one scenario-axis kernel batch
-        (:mod:`repro.runtime.batch`): one MST/instance structure per
-        distinct tree and a single ``(scenarios × edges)`` forward phase,
-        bit-identical per scenario to the looped :meth:`solve_many`.
-        Everything else — sim engine, ``k > 2``, failure plans, sparse
-        deltas, non-fast backends, and singleton groups — transparently
-        falls back to the scalar path.  Results come back in input order;
-        the ``vectorized_batches`` / ``scalar_fallback`` counters (see
-        :meth:`stats`) record the routing.
+        (:mod:`repro.runtime.batch`) when there are at least two of them:
+        one MST/instance structure per distinct tree and a single
+        ``(scenarios × edges)`` forward phase, bit-identical per scenario
+        to :meth:`solve`.  Everything else — sim engine, ``k > 2``,
+        failure plans, sparse deltas, non-fast backends, and singleton
+        groups — is solved one query at a time through the plan LRU;
+        queries whose weight inputs match (value and type) share one plan
+        lookup, so a 100-scenario eps/weight sweep builds each plan's
+        artifacts exactly once.  The ``vectorized_batches`` /
+        ``scalar_fallback`` counters (see :meth:`stats`) record the
+        routing.
         """
         parsed = [self._coerce_query(query) for query in queries]
         results: list[Any] = [None] * len(parsed)
@@ -628,7 +613,7 @@ class SolverSession:
             scalars.extend(groups.pop(key))
         scalars.sort()
         with obs.span(
-            "session.solve_batch",
+            "session.solve_many",
             queries=len(parsed), vectorized=len(parsed) - len(scalars),
             scalar=len(scalars),
         ):
@@ -653,6 +638,9 @@ class SolverSession:
                     for i, result in zip(idxs, group_results):
                         results[i] = result
         return results
+
+    #: The former name of :meth:`solve_many`, kept for existing callers.
+    solve_batch_vectorized = solve_many
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ sockets.  Routes:
 A solve request flows: schema validation in the event loop (cheap) →
 topology resolution against the app's edge-payload store → the
 per-topology :class:`~repro.serve.batcher.MicroBatcher` → one
-:meth:`~repro.runtime.session.SolverSession.solve_batch_vectorized` batch
+:meth:`~repro.runtime.session.SolverSession.solve_many` batch
 inside the topology's shard
 (:class:`~repro.serve.workers.ShardedWorkerPool`), which fuses the
 coalesced batch's compatible scenarios into shared kernel passes.

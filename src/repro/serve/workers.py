@@ -211,10 +211,10 @@ def _solve_on_session(session, requests: list[SolveRequest]) -> list[dict]:
     """Solve a coalesced batch on one session, kernel-fused when possible.
 
     The batch goes through
-    :meth:`~repro.runtime.session.SolverSession.solve_batch_vectorized`:
-    compatible requests (same eps/variant/validate, local engine, ``k=2``,
-    fast compute) run as one scenario-axis kernel pass, the rest take the
-    scalar path — bit-identical either way.  Per-request translation
+    :meth:`~repro.runtime.session.SolverSession.solve_many`: compatible
+    requests (same eps/variant/validate, local engine, ``k=2``, fast
+    compute) run as one scenario-axis kernel pass, the rest take the
+    one-query path — bit-identical either way.  Per-request translation
     errors (bad failure spec, wrong weights length) are isolated up
     front; if the joint call fails, the batch degrades to per-request
     solves so one poisoned request cannot take down its batch-mates.
@@ -228,9 +228,7 @@ def _solve_on_session(session, requests: list[SolveRequest]) -> list[dict]:
             items[i] = error_item_from_exception(exc)
     if prepared:
         try:
-            results = session.solve_batch_vectorized(
-                [q for _, q in prepared]
-            )
+            results = session.solve_many([q for _, q in prepared])
             with obs.span("serve.serialize", items=len(results)):
                 for (i, _), result in zip(prepared, results):
                     items[i] = {"result": result_to_payload(result)}

@@ -1,7 +1,8 @@
 """Theorem 1.2 end to end: O(log n)-approx 2-ECSS in shortcut time.
 
-``shortcut_two_ecss`` computes the MST, builds the fragment hierarchy with a
-shortcut provider over the *communication graph*, runs the Section 5.1
+``shortcut_two_ecss`` takes the MST, links, MST weight and diameter from a
+:class:`~repro.runtime.plan.SolverPlan`, builds the fragment hierarchy with
+a shortcut provider over the *communication graph*, runs the Section 5.1
 parallel set cover to augment the MST, and reports both the solution and the
 measured shortcut quality (``alpha + beta + gamma`` per level) that prices
 the round bound ``O~((SC(G) + D) log^3 n)``.
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.core.tecss import rooted_mst
-from repro.graphs.validation import check_two_edge_connected, ensure_weights, normalize_graph
+from repro.runtime.plan import SolverPlan
 from repro.shortcuts.providers import BestOfShortcuts
 from repro.shortcuts.setcover import ParallelSetCoverResult, parallel_setcover_tap
 from repro.shortcuts.tools import FragmentHierarchy, ShortcutToolkit
@@ -70,34 +70,33 @@ def shortcut_two_ecss(
     seed: int = 0,
     validate: bool = True,
 ) -> ShortcutTecssResult:
-    """O(log n)-approximate weighted 2-ECSS (Theorem 1.2)."""
-    ensure_weights(graph)
-    check_two_edge_connected(graph)
-    g, nodes, _ = normalize_graph(graph)
-    tree, mst_edges = rooted_mst(g)
-    mst_set = set(mst_edges)
-    links = [
-        (min(u, v), max(u, v), float(d["weight"]))
-        for u, v, d in g.edges(data=True)
-        if tuple(sorted((u, v))) not in mst_set
-    ]
+    """O(log n)-approximate weighted 2-ECSS (Theorem 1.2).
+
+    Input validation, normalization, the MST, the links, the MST weight
+    and the result diameter are the session plan's
+    (:meth:`SolverPlan.for_graph`), so they match the primal-dual solver's
+    exactly.
+    """
+    plan = SolverPlan.for_graph(graph)
     prov = provider if provider is not None else BestOfShortcuts()
-    hierarchy = FragmentHierarchy(tree, graph=g, provider=prov)
+    hierarchy = FragmentHierarchy(plan.tree, graph=plan.g, provider=prov)
     toolkit = ShortcutToolkit(hierarchy)
     aug = parallel_setcover_tap(
-        tree, links, eps=eps, seed=seed, toolkit=toolkit, validate=validate
+        plan.tree, plan.links, eps=eps, seed=seed, toolkit=toolkit,
+        validate=validate,
     )
-    mst_weight = sum(g[u][v]["weight"] for u, v in mst_edges)
-    chosen = sorted(mst_set.union(tuple(sorted(l)) for l in aug.links))
-    diameter = nx.diameter(g) if g.number_of_nodes() <= 4000 else -1
+    chosen = sorted(
+        set(plan.mst_edges).union(tuple(sorted(l)) for l in aug.links)
+    )
+    nodes = plan.nodes
     used = hierarchy.levels[0].assignment.provider if hierarchy.levels else "?"
     return ShortcutTecssResult(
         edges=[(nodes[u], nodes[v]) for u, v in chosen],
-        weight=mst_weight + aug.weight,
-        mst_weight=mst_weight,
+        weight=plan.mst_weight + aug.weight,
+        mst_weight=plan.mst_weight,
         aug=aug,
-        diameter=diameter,
-        n=g.number_of_nodes(),
+        diameter=plan.diameter,
+        n=plan.handle.n,
         shortcut_quality=hierarchy.rounds_per_op(),
         provider=used,
     )

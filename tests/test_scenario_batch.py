@@ -1,16 +1,18 @@
 """Differential tests: scenario-vectorized solving and binary wire frames.
 
-Three contracts from one PR, all bit-identity shaped:
+Three contracts, all bit-identity shaped:
 
-* ``SolverSession.solve_batch_vectorized`` equals a looped
-  :meth:`~repro.runtime.session.SolverSession.solve_many` — every result
-  field, duals and anchors and certificates and primitive logs included —
-  across every registered compute backend as the session default, with
-  mixed-parameter batches split into the right groups and everything
-  non-vectorizable falling back to the scalar path;
-* the scenario-axis kernels (``*_2d``) equal their 1-D counterparts row
-  by row, and :func:`repro.runtime.batch.stable_kruskal_mst` equals
-  :func:`repro.core.tecss.rooted_mst` column by column;
+* ``SolverSession.solve_many`` equals the same queries solved one at a
+  time — every result field, duals and anchors and certificates and
+  primitive logs included, weight types too — across every registered
+  compute backend as the session default, with mixed-parameter batches
+  split into the right groups and everything non-vectorizable taking the
+  one-query path;
+* each kernel gives the same answer on one row, on row ``s`` of a
+  many-row stack, and in the reference tree structures; the one MST
+  builder (:func:`repro.core.tecss.stable_kruskal_mst`) equals
+  ``nx.minimum_spanning_tree``; the one fast forward phase equals the
+  reference forward phase;
 * the ``RPF1`` binary frame codec round-trips, rejects malformed bytes
   with the structured ``bad-frame`` error, and a framed HTTP response
   decodes to the byte-identical JSON body a plain client receives.
@@ -34,6 +36,7 @@ from repro.serve.protocol import (
     ProtocolError,
     graph_payload,
     pack_frame,
+    result_to_payload,
     unpack_frame,
 )
 
@@ -60,6 +63,11 @@ def assert_results_equal(a, b) -> None:
             assert_results_equal(x, y)
     else:
         assert a == b
+
+
+def one_at_a_time(session, queries):
+    """The one-query path: each query as its own (unvectorized) batch."""
+    return [session.solve_many([query])[0] for query in queries]
 
 
 def perturbed_columns(graph, count, seed=7):
@@ -92,9 +100,9 @@ def test_vectorized_bit_identical_to_looped(backend):
         + [{"eps": 0.5, "weights": columns[0]}]  # duplicate column
         + [{"eps": 0.5, "validate": False, "weights": c} for c in columns[:2]]
     )
-    looped = SolverSession(graph, backend=backend).solve_many(queries)
+    looped = one_at_a_time(SolverSession(graph, backend=backend), queries)
     session = SolverSession(graph, backend=backend)
-    batched = session.solve_batch_vectorized(queries)
+    batched = session.solve_many(queries)
     assert len(batched) == len(looped)
     for a, b in zip(batched, looped):
         assert_results_equal(a, b)
@@ -122,9 +130,9 @@ def test_mixed_batches_split_and_fall_back():
         SolveQuery(eps=1.0, weights=columns[3], backend="fast"),  # singleton
         SolveQuery(eps=0.5, backend="fast", engine="sim"),
     ]
-    looped = SolverSession(graph).solve_many(queries)
+    looped = one_at_a_time(SolverSession(graph), queries)
     session = SolverSession(graph)
-    batched = session.solve_batch_vectorized(queries)
+    batched = session.solve_many(queries)
     for a, b in zip(batched, looped):
         assert_results_equal(a, b)
     stats = session.stats()
@@ -147,6 +155,27 @@ def test_vectorizable_gates():
     assert not session._vectorizable(
         SolveQuery(eps=0.5, weights_delta={(0, 1): 2.0})
     )
+
+
+@pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
+def test_int_and_float_columns_are_not_merged(backend):
+    """``1`` and ``1.0`` are equal but not the same weight: types reach results."""
+    graph = make_family_instance("cycle_chords", 26, seed=3)
+    ints = [max(1, round(w)) for _, _, w in graph_payload(graph)["edges"]]
+    floats = [float(w) for w in ints]
+    queries = [{"weights": ints}, {"weights": floats}]
+    want = [
+        result_to_payload(SolverSession(graph, backend=backend).solve(**q))
+        for q in queries
+    ]
+    assert isinstance(want[0]["mst_weight"], int)
+    assert isinstance(want[1]["mst_weight"], float)
+    for solve in ("solve_many", "solve_batch_vectorized"):
+        session = SolverSession(graph, backend=backend)
+        got = getattr(session, solve)(queries)
+        assert [json.dumps(result_to_payload(r)) for r in got] == [
+            json.dumps(payload) for payload in want
+        ]
 
 
 def test_unknown_query_field_names_valid_fields():
@@ -185,105 +214,166 @@ def test_solve_many_groups_by_weight_fingerprint():
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
-def test_stable_kruskal_matches_rooted_mst():
-    from repro.core.tecss import rooted_mst
-    from repro.runtime.batch import stable_kruskal_mst
+def test_stable_kruskal_matches_networkx_mst():
+    import networkx as nx
+
+    from repro.core.tecss import rooted_mst, stable_kruskal_mst
+    from repro.graphs.families import FAMILIES
     from repro.runtime.handle import GraphHandle
+    from repro.trees.rooted import RootedTree
 
-    for family, n, seed in [
-        ("cycle_chords", 24, 0), ("grid", 25, 1), ("hub_cycle", 22, 2)
-    ]:
-        graph = make_family_instance(family, n, seed=seed)
+    for seed, family in enumerate(sorted(FAMILIES)):
+        graph = make_family_instance(family, 24, seed=seed)
         base = GraphHandle.from_graph(graph)
-        for column in [None] + perturbed_columns(graph, 3, seed=seed):
+        rng = random.Random(seed)
+        columns = [None] + perturbed_columns(graph, 2, seed=seed) + [
+            # integer columns with many exact ties
+            [rng.randrange(3) for _ in range(base.m)] for _ in range(2)
+        ]
+        for column in columns:
             handle = base if column is None else base.reweight(column)
-            _, expected = rooted_mst(handle.graph)
-            assert stable_kruskal_mst(handle, handle.weights) == expected
+            g = handle.graph
+            want = sorted(
+                tuple(sorted(e))
+                for e in nx.minimum_spanning_tree(g, weight="weight").edges()
+            )
+            got, weight = stable_kruskal_mst(
+                handle.n, handle.edges, handle.weights
+            )
+            assert got == want, family
+            assert weight == sum(g[u][v]["weight"] for u, v in want)
+            tree, edges = rooted_mst(g)
+            assert edges == want
+            expected = RootedTree.from_edges(handle.n, want, root=0)
+            assert tree.parent == expected.parent
+            assert tree.tin == expected.tin
+
+
+def _kernel_fixture(family, n, seed):
+    """A solved instance's tree arrays, reference ops and virtual edges."""
+    from repro.trees.pathops import TreePathOps
+
+    graph = make_family_instance(family, n, seed=seed)
+    arrays = SolverSession(graph, backend="fast").plan().instance(
+        "fast"
+    ).arrays
+    return arrays.ta, TreePathOps(arrays.ta.tree), arrays
 
 
 @needs_numpy
-def test_2d_kernels_match_rowwise_1d():
+def test_ancestor_sums_rows_match_reference():
     import numpy as np
 
-    graph = make_family_instance("cycle_chords", 30, seed=6)
-    session = SolverSession(graph, backend="fast")
-    inst = session.plan().instance("fast")
-    arrays = inst.arrays
-    ta = arrays.ta
+    ta, ops, _ = _kernel_fixture("cycle_chords", 30, seed=6)
     rng = np.random.default_rng(12)
-    values2 = rng.uniform(0.0, 4.0, size=(5, ta.n))
-    rows = [ta.ancestor_sums(values2[s]) for s in range(5)]
-    assert np.array_equal(ta.ancestor_sums_2d(values2), np.stack(rows))
-
-    delta2 = rng.integers(-2, 3, size=(5, ta.n)).astype(np.int64)
-    rows = [ta.subtree_counts(delta2[s]) for s in range(5)]
-    assert np.array_equal(ta.subtree_counts_2d(delta2), np.stack(rows))
-
-    dec, anc = arrays.dec, arrays.anc
-    vals2 = rng.uniform(0.0, 10.0, size=(5, len(dec)))
-    rows = [ta.path_chmin(dec, anc, vals2[s], np.inf) for s in range(5)]
-    assert np.array_equal(
-        ta.path_chmin_2d(dec, anc, vals2, np.inf), np.stack(rows)
-    )
+    stack = rng.uniform(-4.0, 4.0, size=(5, ta.n))
+    stack[2] = 0.0  # a row holding only the identity
+    many = ta.ancestor_sums(stack)
+    assert many.shape == stack.shape
+    for s in range(len(stack)):
+        one = ta.ancestor_sums(stack[s])
+        assert np.array_equal(one, many[s])
+        assert np.array_equal(ta.ancestor_sums(stack[s:s + 1])[0], one)
+        assert one.tolist() == ops.ancestor_sums(stack[s].tolist())
 
 
 @needs_numpy
 def test_coverage_counts_2d_matches_scalar_counter():
     import numpy as np
 
-    from repro.fast.context import FastCoverageCounter
+    from repro.trees.pathops import CoverageCounter
 
-    graph = make_family_instance("grid", 16, seed=8)
-    session = SolverSession(graph, backend="fast")
-    inst = session.plan().instance("fast")
-    arrays = inst.arrays
-    ta = arrays.ta
+    ta, ops, arrays = _kernel_fixture("grid", 16, seed=8)
     rng = random.Random(13)
-    m = len(inst.edges)
-    scenarios = []
-    for _ in range(4):
-        counter = FastCoverageCounter(ta)
-        delta = np.zeros(ta.n, dtype=np.int64)
-        for eid in rng.sample(range(m), max(2, m // 3)):
+    m = len(arrays.dec)
+    counters = []
+    stack = np.zeros((4, ta.n), dtype=np.int64)
+    for s in range(len(stack)):
+        counter = CoverageCounter(ops)
+        # Row 1 holds only the identity: no path, zero delta.
+        for eid in rng.sample(range(m), max(2, m // 3)) if s != 1 else []:
             dec, anc = int(arrays.dec[eid]), int(arrays.anc[eid])
             counter.add_path(dec, anc)
-            delta[dec] += 1
-            delta[anc] -= 1
-        scenarios.append((counter, delta))
-    stacked = FastCoverageCounter.counts_2d(
-        ta, np.stack([delta for _, delta in scenarios])
-    )
-    for s, (counter, _) in enumerate(scenarios):
-        for v in range(ta.n):
-            assert int(stacked[s, v]) == counter.count(v)
+            stack[s, dec] += 1
+            stack[s, anc] -= 1
+        counters.append(counter)
+    many = ta.subtree_counts(stack)
+    for s, counter in enumerate(counters):
+        one = ta.subtree_counts(stack[s])
+        assert np.array_equal(one, many[s])
+        for v in ta.tree.tree_edges():
+            assert int(one[v]) == counter.count(v)
+
+
+@needs_numpy
+def test_path_chmin_rows_match_reference():
+    import numpy as np
+
+    from repro.fast.kernels import INT_SENTINEL
+
+    ta, ops, arrays = _kernel_fixture("cycle_chords", 30, seed=6)
+    dec, anc = arrays.dec, arrays.anc
+    m = len(dec)
+    rng = np.random.default_rng(4)
+    floats = rng.uniform(0.0, 10.0, size=(4, m))
+    floats[rng.uniform(size=(4, m)) < 0.4] = np.inf  # unselected entries
+    floats[1] = np.inf  # a row holding only the identity
+    # int64 petal keys: (primary, index) with many primary ties
+    keys = rng.integers(0, 3, size=(3, m)) * m + np.arange(m)
+    keys[0, rng.uniform(size=m) < 0.5] = INT_SENTINEL
+    keys[2] = INT_SENTINEL
+    for stack, identity in ((floats, np.inf), (keys, INT_SENTINEL)):
+        many = ta.path_chmin(dec, anc, stack, identity)
+        assert many.shape == (len(stack), ta.n)
+        for s, row in enumerate(stack):
+            sel = np.flatnonzero(row != identity)
+            one = ta.path_chmin(dec[sel], anc[sel], row[sel], identity)
+            assert np.array_equal(one, many[s])
+            assert np.array_equal(ta.path_chmin(dec, anc, row, identity), one)
+            if identity is np.inf:
+                ref = ops.chmin_over_paths(
+                    (int(dec[i]), int(anc[i]), (float(row[i]), int(i)))
+                    for i in sel
+                )
+                want = [ref.get(t) for t in ta.tree.tree_edges()]
+                got = [
+                    ref.identity if one[t] == identity else float(one[t])
+                    for t in ta.tree.tree_edges()
+                ]
+                assert got == [w if w == ref.identity else w[0] for w in want]
+            else:
+                ref = ops.chmin_over_paths(
+                    (int(dec[i]), int(anc[i]), divmod(int(row[i]), m))
+                    for i in sel
+                )
+                for t in ta.tree.tree_edges():
+                    if one[t] == identity:
+                        assert ref.get(t) == ref.identity
+                    else:
+                        assert divmod(int(one[t]), m) == ref.get(t)
 
 
 @needs_numpy
 def test_batched_forward_matches_scalar_forward():
+    """The one fast forward phase equals the reference, at S=1 and S=4."""
     import numpy as np
 
-    from repro.fast.forward import forward_phase_fast, forward_phase_fast_batch
-    from repro.runtime.batch import (
-        _group_instance,
-        _seed_plan,
-        _TreeGroup,
-        stable_kruskal_mst,
-    )
+    from repro.core.forward import forward_phase
+    from repro.fast.forward import forward_phase_fast_batch
+    from repro.runtime.batch import _group_instance, _seed_plan, _TreeGroup
     from repro.runtime.handle import GraphHandle
-    from repro.trees.rooted import RootedTree
+    from repro.runtime.plan import SolverPlan
 
     graph = make_family_instance("cycle_chords", 28, seed=10)
     base = GraphHandle.from_graph(graph)
-    mst_edges = stable_kruskal_mst(base, base.weights)
+    base_plan = SolverPlan(base)
+    mst_set = set(base_plan.mst_edges)
     # Scale up only non-tree edges: the MST (and therefore the shared
     # structure every scenario derives from) is provably unchanged.
-    pair_index = base._pair_index
     nontree = [
-        i for i, e in enumerate(base.edge_list)
-        if tuple(sorted(e[:2])) not in set(mst_edges)
+        i for i, e in enumerate(base.edges)
+        if tuple(sorted(e)) not in mst_set
     ]
-    assert pair_index  # handles expose positions; sanity
     rng = random.Random(22)
     columns = [list(base.weights)]
     for _ in range(3):
@@ -291,10 +381,7 @@ def test_batched_forward_matches_scalar_forward():
         for i in rng.sample(nontree, max(1, len(nontree) // 4)):
             column[i] = column[i] * rng.uniform(1.0, 2.5)
         columns.append(column)
-    group = _TreeGroup(
-        tree=RootedTree.from_edges(base.n, mst_edges, root=0),
-        mst_edges=mst_edges,
-    )
+    group = _TreeGroup(tree=base_plan.tree, mst_edges=base_plan.mst_edges)
     instances = []
     for column in columns:
         handle = base.reweight(column)
@@ -302,9 +389,12 @@ def test_batched_forward_matches_scalar_forward():
         instances.append(_group_instance(
             plan, group, np.asarray(handle.weights, dtype=np.float64)
         ))
-    batch = forward_phase_fast_batch(instances, eps=0.25)
-    for inst, fwd in zip(instances, batch):
-        assert_results_equal(fwd, forward_phase_fast(inst, eps=0.25))
+    for stack in (instances[1:2], instances):
+        batch = forward_phase_fast_batch(stack, eps=0.25)
+        assert len(batch) == len(stack)
+        for inst, fwd in zip(stack, batch):
+            ref = forward_phase(inst, eps=0.25, backend="reference")
+            assert_results_equal(fwd, ref)
 
 
 # ---------------------------------------------------------------------------
