@@ -1,13 +1,15 @@
 """The 2000-node scenario-batch benchmark: vectorized vs looped solving.
 
 The Monte-Carlo traffic shape: one topology, ``SCENARIOS`` weight
-columns, each a scale-up perturbation of a few **non-tree** edges (so
-every scenario provably shares the baseline MST — the batched path's
-best case, and the realistic one: cost drift on backup links).  The
-scenario loop (one-query
+columns, each a scale-up perturbation of a few **non-tree** edges — cost
+drift on backup links, the batched path's best case and the realistic
+one.  Each column is a ``reused`` delta of the session's base plan
+(:meth:`~repro.runtime.plan.SolverPlan.from_delta`): it keeps the base
+MST, so its instance is derived from the base's with only the weight
+column patched.  The scenario loop (one-query
 :meth:`~repro.runtime.session.SolverSession.solve_many` calls) pays the
 forward phase once per scenario; one ``solve_many`` call over all
-scenarios runs one ``(scenarios × edges)`` forward pass per tree group.
+scenarios runs one ``(scenarios × edges)`` forward pass per tree.
 
 The looped total is *projected*: the per-scenario time is the minimum
 over ``LOOP_SAMPLES`` individually timed solves, multiplied by

@@ -51,7 +51,8 @@ class TAPInstance:
     def layering(self) -> Layering:
         """The junction-path layering (Section 3.2), built on first use.
 
-        A pure function of the tree, so plan derivation
+        A pure function of the tree, so plan derivation for delta
+        re-solves and scenario batches
         (:meth:`repro.runtime.plan.SolverPlan._derive_instance`) and
         :meth:`fresh_copy` seed it from the source instance instead of
         recomputing.

@@ -20,10 +20,10 @@ from typing import Any, Hashable, Iterable, Sequence
 
 from repro import obs
 from repro.core import certificates as cert
-from repro.core.forward import forward_phase
+from repro.core.forward import ForwardResult, forward_phase
 from repro.core.instance import TAPInstance
 from repro.core.result import TapResult
-from repro.core.reverse import COVER_BOUND, reverse_delete
+from repro.core.reverse import COVER_BOUND, ReverseResult, reverse_delete
 from repro.core.rounds import PrimitiveLog
 from repro.core.virtual_graph import VirtualEdgeColumns, map_back
 from repro.fast import resolve_backend
@@ -40,6 +40,7 @@ def solve_virtual_tap(
     validate: bool = True,
     backend: str = "reference",
     hooks: Any = None,
+    fwd: ForwardResult | None = None,
 ) -> tuple[ForwardResult, ReverseResult]:
     """Solve TAP on an already-virtual instance; returns (fwd, rev).
 
@@ -51,15 +52,17 @@ def solve_virtual_tap(
     ``"fast"`` (vectorized kernels in :mod:`repro.fast`, bit-identical
     output, requires numpy).  ``hooks`` is forwarded to
     :func:`repro.core.reverse.reverse_delete` (the distributed pipeline's
-    observation point for the global-MIS gather).
+    observation point for the global-MIS gather).  A given ``fwd`` (the
+    forward result for ``inst`` at ``eps / c``) skips the forward phase.
     """
     if variant not in COVER_BOUND:
         raise ValueError(f"variant must be one of {sorted(COVER_BOUND)}")
     backend = resolve_backend(backend)
     c = COVER_BOUND[variant]
     eps_prime = eps / c
-    with obs.span("tap.forward", backend=backend):
-        fwd = forward_phase(inst, eps=eps_prime, backend=backend)
+    if fwd is None:
+        with obs.span("tap.forward", backend=backend):
+            fwd = forward_phase(inst, eps=eps_prime, backend=backend)
     with obs.span("tap.reverse", backend=backend):
         rev = reverse_delete(
             inst, fwd, variant=variant, segmented=segmented,

@@ -54,9 +54,9 @@ def stable_kruskal_mst(
     *set* depends only on that order, not on the union-find
     implementation.  The sort compares the weight objects themselves, so
     integer weights beyond float64's exact range still rank exactly.
-    This is the one MST builder: :func:`rooted_mst`, the session plans
-    (:class:`repro.runtime.plan.SolverPlan`) and the scenario-batch path
-    (:mod:`repro.runtime.batch`) all call it, on flat arrays instead of an
+    This is the one MST builder: :func:`rooted_mst` and the session plans
+    (:class:`repro.runtime.plan.SolverPlan`, which the scenario batch
+    derives its plans through) call it, on flat arrays instead of an
     ``nx.Graph``; ``tests/test_scenario_batch.py`` holds it to networkx.
     """
     parent = list(range(n))
@@ -129,10 +129,9 @@ def assemble_two_ecss(
     supplied ``mst_weight`` must equal the in-order sum over
     ``mst_edges`` — the session computes it from the same weight objects
     in the same order, keeping results bit-identical.  ``mst_edges_out``
-    optionally supplies the label-mapped MST edge list
-    (``[(nodes[u], nodes[v]) for u, v in mst_edges]``) so a caller
-    assembling many scenarios over one tree maps it once; the results of
-    such a batch share the list, read-only by convention.
+    optionally supplies the label-mapped MST edge list (a plan's
+    ``labeled_mst_edges``), which results over one tree then share,
+    read-only by convention.
     """
     mst_set = set(mst_edges)
     if mst_weight is None:

@@ -126,9 +126,10 @@ class InstanceArrays:
 
         Everything else — tree arrays, ``dec``/``anc``, layering columns,
         the nearest-in-layer cache — is a pure function of the tree and
-        the virtual-edge *structure*, so the delta plan derivation
-        (:meth:`repro.runtime.plan.SolverPlan._derive_instance`) shares it
-        object-for-object across reweights of the same tree.
+        the virtual-edge *structure*, so plan derivation — delta re-solves
+        and scenario batches alike
+        (:meth:`repro.runtime.plan.SolverPlan._derive_instance`) — shares
+        it object-for-object across reweights of the same tree.
         """
         clone = InstanceArrays.__new__(InstanceArrays)
         clone.ta = self.ta

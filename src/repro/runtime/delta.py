@@ -30,8 +30,9 @@ order works — after each step the invariant "current tree is the stable
 Kruskal of the current weights" is restored).  Crossing-edge queries run
 vectorized over the tree's Euler intervals when numpy is present
 (:func:`repro.fast.kernels.min_weight_crossing`) and as an exact Python
-scan otherwise — or when integer weights exceed float64's exact range,
-where a float comparison could mis-rank candidates.
+scan otherwise — or when an integer weight, in the base column or among
+the diff's new values, exceeds float64's exact range, where a float
+comparison could mis-rank candidates.
 
 :class:`DeltaFallback` signals "rebuild from scratch instead"; the caller
 (:meth:`repro.runtime.plan.SolverPlan.from_delta`) also refuses large
@@ -42,10 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro import obs
-from repro.runtime.handle import GraphHandle
+from repro.runtime.handle import GraphHandle, _weights_float_exact
 from repro.trees.rooted import RootedTree
 
 try:  # numpy is optional project-wide
@@ -54,10 +55,6 @@ except ImportError:  # pragma: no cover - the CI image bakes numpy in
     _np = None
 
 __all__ = ["DeltaFallback", "DeltaOutcome", "maintain_mst"]
-
-#: Integer weights beyond this magnitude are not exactly representable as
-#: float64; the vectorized crossing query then switches to the Python scan.
-_FLOAT_EXACT_INT = 1 << 53
 
 
 class DeltaFallback(Exception):
@@ -195,17 +192,6 @@ class _CrossingIndex:
         return None if best is None else best[1]
 
 
-def _weights_float_exact(weights: "Iterable") -> bool:
-    """Can every weight be compared exactly after a float64 cast?"""
-    for w in weights:
-        if isinstance(w, float):
-            continue
-        if -_FLOAT_EXACT_INT <= w <= _FLOAT_EXACT_INT:
-            continue
-        return False
-    return True
-
-
 def maintain_mst(
     handle: GraphHandle,
     tree: RootedTree,
@@ -251,7 +237,13 @@ def _maintain_mst(
     tree_dirty = False
     swaps: list[tuple[tuple[int, int], tuple[int, int]]] = []
     budget = len(changes) if max_swaps is None else max_swaps
-    use_numpy = _np is not None and _weights_float_exact(weights)
+    # The crossing index casts the base column *and* every new value to
+    # float64, so all of them must survive the cast exactly.
+    use_numpy = (
+        _np is not None
+        and base._float_exact
+        and _weights_float_exact(changes.values())
+    )
     crossing: _CrossingIndex | None = None
 
     def _tree() -> RootedTree:

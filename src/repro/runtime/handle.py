@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -56,6 +56,11 @@ def _canonical_weight(w: Any) -> Any:
     are genuinely different weight columns.
     """
     return 0.0 if isinstance(w, float) and w == 0.0 else w
+
+
+def _weights_float_exact(weights: Iterable) -> bool:
+    """Can every weight be compared exactly after a float64 cast?"""
+    return all(isinstance(w, float) or abs(w) <= 1 << 53 for w in weights)
 
 
 def weights_token(weights: Any) -> tuple:
@@ -414,8 +419,7 @@ class GraphHandle:
 
         Topology-only (shared by reference across reweights via
         :attr:`_shared`); consumed by the swap-edge maintenance of
-        :mod:`repro.runtime.delta` and the batched-scenario MST check of
-        :mod:`repro.runtime.batch`.  Requires numpy — callers gate on its
+        :mod:`repro.runtime.delta`.  Requires numpy — callers gate on its
         availability.
         """
         arrays = self._shared.get("endpoint_arrays")
@@ -429,6 +433,11 @@ class GraphHandle:
             )
             self._shared["endpoint_arrays"] = arrays
         return arrays
+
+    @cached_property
+    def _float_exact(self) -> bool:
+        """:func:`_weights_float_exact` of the column, once per handle."""
+        return _weights_float_exact(self.weights)
 
     @property
     def diameter(self) -> int:

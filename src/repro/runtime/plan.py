@@ -22,7 +22,10 @@ A :class:`SolverPlan` owns the weight-dependent rows for one
 exactly once from the handle's flat edge and weight arrays — the MST,
 the links and the MST weight never touch the ``nx.Graph``; the
 topology-only rows live on the handle itself and are shared across
-:meth:`~repro.runtime.handle.GraphHandle.reweight` variants.
+:meth:`~repro.runtime.handle.GraphHandle.reweight` variants.  A plan
+derived by :meth:`SolverPlan.from_delta` — a sparse re-solve, or one
+column of a scenario batch — takes every tree-derived row from its
+parent when its MST is the parent's (:meth:`SolverPlan._mst_parent`).
 The phases that *do* depend on query parameters (forward primal-dual,
 reverse-delete, certificates) run per solve in
 :class:`~repro.runtime.session.SolverSession` on top of a plan.  The
@@ -69,17 +72,6 @@ def _links_from_handle(
         if key not in mst_set:
             out.append((key[0], key[1], float(w)))
     return out
-
-
-def _mst_weight(handle: GraphHandle, mst_edges: list[tuple[int, int]]) -> Any:
-    """The MST weight of a known tree, exactly as Kruskal sums it.
-
-    For plans whose MST is seeded rather than built (delta maintenance,
-    scenario tree groups): the handle's weight objects summed in
-    ``mst_edges`` order, like :func:`repro.core.tecss.stable_kruskal_mst`.
-    """
-    weights, pair_index = handle.weights, handle._pair_index
-    return sum(weights[pair_index[e]] for e in mst_edges)
 
 
 def _links_from_parent(
@@ -200,7 +192,8 @@ class SolverPlan:
           Kruskal run), links derive from the handle's arrays, but
           instances rebuild from scratch (they embed the tree);
         * **fallback** — diffs above ``max_fraction`` of the edges, or a
-          swap budget overrun, degrade to a plain full-rebuild plan.
+          swap budget overrun, run Kruskal; instances then derive as
+          above when its MST is the parent's, else rebuild from scratch.
 
         The derived plan is bit-identical to ``SolverPlan(handle)`` in
         everything a solve reads — held by the differential suite in
@@ -236,9 +229,13 @@ class SolverPlan:
             return plan
         info["swaps"] = len(outcome.swaps)
         info["mode"] = "reused" if not outcome.changed_tree else "swapped"
+        # Summed in mst_edges order, exactly as stable_kruskal_mst sums.
+        pos = parent._mst_edge_pos
+        if outcome.changed_tree:
+            pos = [handle._pair_index[e] for e in outcome.mst_edges]
         plan.__dict__["_mst"] = (
             outcome.tree, outcome.mst_edges,
-            _mst_weight(handle, outcome.mst_edges),
+            sum(map(handle.weights.__getitem__, pos)),
         )
         # Splice the parent's links when they are already materialized
         # (O(k + s) instead of O(m)), else build them from the handle's
@@ -287,6 +284,10 @@ class SolverPlan:
             edges, weight = stable_kruskal_mst(
                 handle.n, handle.edges, handle.weights
             )
+            parent = self._delta_parent
+            if parent is not None and edges == parent.mst_edges:
+                # A fallback that kept the MST shares the parent's tree.
+                return parent.tree, parent.mst_edges, weight
             return RootedTree.from_edges(handle.n, edges, root=0), edges, weight
 
         return self._timed("mst", build)
@@ -311,6 +312,19 @@ class SolverPlan:
         return self._mst[2]
 
     @cached_property
+    def labeled_mst_edges(self) -> list[tuple]:
+        """:attr:`mst_edges` in the caller's node labels, once per tree.
+
+        Shared with the parent when the MST is the parent's, and by every
+        result assembled from the plan (read-only, like the tree).
+        """
+        parent = self._mst_parent()
+        if parent is not None:
+            return parent.labeled_mst_edges
+        nodes = self.nodes
+        return [(nodes[u], nodes[v]) for u, v in self.mst_edges]
+
+    @cached_property
     def links(self) -> list[tuple[int, int, float]]:
         """The candidate links: every non-MST edge as ``(u, v, weight)``."""
         if self._links_builder is not None:
@@ -324,6 +338,12 @@ class SolverPlan:
     def _link_pos(self) -> dict[tuple[int, int], int]:
         """Link key -> position in :attr:`links` (delta-derivation index)."""
         return {(u, v): i for i, (u, v, _) in enumerate(self.links)}
+
+    @cached_property
+    def _mst_edge_pos(self) -> list[int]:
+        """Handle edge position of each MST edge (delta-derivation)."""
+        pair_index = self.handle._pair_index
+        return [pair_index[e] for e in self.mst_edges]
 
     @cached_property
     def _link_edge_pos(self) -> list[int]:
@@ -428,7 +448,7 @@ class SolverPlan:
         flavor = resolve_compute(backend)
         inst = self._instances.get(flavor)
         if inst is None:
-            if self._can_derive_instance():
+            if self._mst_parent() is not None:
                 inst = self._timed(
                     f"instance:{flavor}:delta",
                     lambda: self._derive_instance(flavor),
@@ -444,24 +464,28 @@ class SolverPlan:
             self.instance_builds += 1
         return inst
 
-    def _can_derive_instance(self) -> bool:
-        """Derivation needs an unchanged tree and a live parent plan."""
-        return (
-            self._delta_parent is not None
-            and self.delta_info is not None
-            and self.delta_info.get("mode") == "reused"
-        )
+    def _mst_parent(self) -> "SolverPlan | None":
+        """The delta parent if this plan's MST is the parent's, else ``None``.
+
+        The one condition for deriving from the parent: ``reused`` deltas
+        and ``fallback`` plans whose Kruskal MST came out unchanged.
+        """
+        parent = self._delta_parent
+        if parent is not None and self.mst_edges == parent.mst_edges:
+            return parent
+        return None
 
     def _derive_instance(self, flavor: str) -> TAPInstance:
         """Clone the parent's instance with only the weight column patched.
 
-        Valid only when the maintained tree is the parent's tree object
-        (``mode == "reused"``): the virtual-edge structure (dec/anc pairs,
-        originating links, eids) is a pure function of tree + non-tree
-        edge *set*, which is unchanged — so the parent's layering, HLD,
-        segments and :class:`~repro.fast.treearrays.TreeArrays` are shared
-        and only weights are rewritten, producing the same objects field
-        for field as a fresh ``from_links`` build on the patched links.
+        Valid only when the MST is the parent's: the virtual-edge
+        structure (dec/anc pairs, originating links, eids) is a pure
+        function of tree + non-tree edge *set*, which is unchanged — so
+        the parent's layering, HLD, segments and
+        :class:`~repro.fast.treearrays.TreeArrays` are shared and only
+        weights are rewritten, producing the same objects field for field
+        as a fresh ``from_links`` build on the patched links.  The shared
+        structure is built on the parent, once for all derived plans.
         """
         from repro.core.virtual_graph import VirtualEdgeColumns
 
@@ -486,13 +510,12 @@ class SolverPlan:
             inst = TAPInstance(
                 parent_inst.tree, edges, parent_inst.segment_size
             )
-            if "arrays" in parent_inst.__dict__:
-                # Same tree, same virtual-edge structure: the parent's
-                # kernel arrays carry over with just the weight column
-                # swapped (incl. the nearest-in-layer cache).
-                inst.__dict__["arrays"] = parent_inst.arrays.reweighted(
-                    edges.weight
-                )
+            # Same tree, same virtual-edge structure: the parent's kernel
+            # arrays carry over with just the weight column swapped
+            # (incl. the nearest-in-layer cache).
+            inst.__dict__["arrays"] = parent_inst.arrays.reweighted(
+                edges.weight
+            )
         else:
             edges = [
                 e if e.origin not in changed
@@ -503,8 +526,7 @@ class SolverPlan:
                 parent_inst.tree, edges, parent_inst.segment_size
             )
         for name in ("layering", "hld", "segments"):
-            if name in parent_inst.__dict__:
-                inst.__dict__[name] = parent_inst.__dict__[name]
+            inst.__dict__[name] = getattr(parent_inst, name)
         return inst
 
     def private_instance(self, backend: str = "reference") -> TAPInstance:

@@ -461,8 +461,12 @@ class SolverSession:
         validate: bool,
         flavor: str,
         simulate_mst: bool,
+        fwd: Any = None,
     ) -> Any:
-        """The centralized solve path over a plan's shared instance."""
+        """The centralized solve path over a plan's shared instance.
+
+        A given ``fwd`` (the scenario batch's) skips the forward phase.
+        """
         mst_simulation = None
         tree, mst_edges, inst = plan.tree, plan.mst_edges, None
         if simulate_mst:
@@ -486,7 +490,7 @@ class SolverSession:
         with obs.span("solve.tap", backend=flavor):
             fwd, rev = solve_virtual_tap(
                 inst, eps=eps, variant=variant, segmented=segmented,
-                validate=validate, backend=flavor,
+                validate=validate, backend=flavor, fwd=fwd,
             )
         with obs.span("solve.assemble"):
             tap = assemble_tap_result(
@@ -496,15 +500,15 @@ class SolverSession:
             # Only validation walks the nx.Graph; every other input is on
             # the plan, so a validate=False solve never materializes the
             # graph — an O(m) build the delta path must not pay per tick.
+            own_mst = mst_edges is plan.mst_edges
             return assemble_two_ecss(
                 plan.g if (validate or simulate_mst) else None,
                 plan.nodes, mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
                 diameter=plan.diameter,
-                mst_weight=(
-                    plan.mst_weight if mst_edges is plan.mst_edges else None
-                ),
+                mst_weight=plan.mst_weight if own_mst else None,
                 n=plan.handle.n,
+                mst_edges_out=plan.labeled_mst_edges if own_mst else None,
             )
 
     @staticmethod

@@ -112,6 +112,36 @@ class TestMaintainMst:
             outcome = maintain_mst(new, plan.tree, plan.mst_edges)
             assert outcome.mst_edges == _stable_mst_edges(_patched(graph, changed))
 
+    def test_big_integer_delta_values_rank_exactly(self):
+        """New values past 2**53 must not reach the float64 crossing query.
+
+        The base column is small and float-exact; the diff lifts both
+        chords above 2**53, where ``2**53 + 1`` and ``2**53`` cast to the
+        same float64.  The cut rule for the heavier tree edge must still
+        pick the exactly-lighter chord (0, 3), as Kruskal does.
+        """
+        import networkx as nx
+
+        from repro.core.tecss import stable_kruskal_mst
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(4))
+        # The chords come first, so their changes apply before the cut
+        # rule builds its crossing index.
+        for u, v, w in [(0, 2, 5), (0, 3, 5), (0, 1, 1), (1, 2, 1), (2, 3, 1)]:
+            graph.add_edge(u, v, weight=w)
+        session = SolverSession(graph, delta_max_fraction=1.0)
+        assert session.base_plan().mst_edges == [(0, 1), (1, 2), (2, 3)]
+        big = 2 ** 53
+        plan = session.plan(
+            weights_delta={(0, 2): big + 1, (0, 3): big, (1, 2): big + 10}
+        )
+        assert plan.delta_info["mode"] == "swapped"
+        handle = plan.handle
+        want, _ = stable_kruskal_mst(handle.n, handle.edges, handle.weights)
+        assert want == [(0, 1), (0, 3), (2, 3)]
+        assert plan.mst_edges == want
+
     def test_swap_budget_raises_fallback(self):
         """A cascade past ``max_swaps`` aborts with :class:`DeltaFallback`."""
         graph = cycle_with_chords(40, 14, seed=7)

@@ -157,6 +157,118 @@ def test_vectorizable_gates():
     )
 
 
+@needs_numpy
+@pytest.mark.parametrize("base_type", [int, float])
+def test_every_derivation_outcome_matches_solve(base_type, monkeypatch):
+    """One column per way a scenario plan derives from the base plan.
+
+    Every non-base column's plan comes from ``SolverPlan.from_delta``; a
+    spy records the branch each took, and each result must equal a
+    one-query ``solve``.  Batch plans never touch the delta counters.
+    """
+    from repro.runtime.handle import GraphHandle
+    from repro.runtime.plan import SolverPlan
+
+    graph = make_family_instance("cycle_chords", 26, seed=3)
+    rng = random.Random(5)
+    handle = GraphHandle.from_graph(graph)
+    handle = handle.reweight(
+        [base_type(rng.randint(1, 20)) for _ in range(handle.m)]
+    )
+    base = list(handle.weights)
+    mst = set(SolverPlan(handle).mst_edges)
+    tree = [i for i, e in enumerate(handle.edges) if tuple(sorted(e)) in mst]
+    nontree = [i for i in range(handle.m) if i not in tree]
+
+    def column(changes):
+        out = list(base)
+        for i, w in changes.items():
+            out[i] = w
+        return out
+
+    heavy = base_type(1000)  # above every other weight: forces a swap
+    lifted = {i: base[i] * 2 for i in nontree}  # > delta_max_fraction
+    other_type = float if base_type is int else int
+    columns = [
+        list(base),                                   # equals the base
+        column({nontree[0]: base[nontree[0]] * 3}),   # reused
+        column({tree[0]: heavy}),                     # swapped
+        column(lifted),                               # fallback, MST kept
+        column({**lifted, tree[0]: heavy}),           # fallback, MST moved
+        [other_type(w) for w in base],                # equal value, new type
+    ]
+    made = []
+    from_delta = SolverPlan.from_delta.__func__
+
+    def spy(cls, *args, **kwargs):
+        plan = from_delta(cls, *args, **kwargs)
+        made.append(plan)
+        return plan
+
+    monkeypatch.setattr(SolverPlan, "from_delta", classmethod(spy))
+    queries = [{"eps": 0.5, "weights": c} for c in columns]
+    session = SolverSession(handle, backend="fast")
+    batched = session.solve_many(queries)
+    assert [plan.delta_info["mode"] for plan in made] == [
+        "reused", "swapped", "fallback", "fallback", "fallback",
+    ]
+    assert [
+        "instance:fast:delta" in plan.build_times for plan in made
+    ] == [True, False, True, False, True]
+    base_plan = session.base_plan()
+    for plan in (made[0], made[2], made[4]):  # derived from the base
+        inst, shared = plan.instance("fast"), base_plan.instance("fast")
+        assert inst.tree is shared.tree and inst.hld is shared.hld
+        assert inst.segments is shared.segments
+        assert plan.labeled_mst_edges is base_plan.labeled_mst_edges
+    stats = session.stats()
+    assert stats["vectorized_batches"] == 1
+    for counter in (
+        "delta_requests", "delta_tree_reuses", "delta_tree_swaps",
+        "delta_fallbacks",
+    ):
+        assert stats[counter] == 0, counter
+    monkeypatch.undo()
+    single = SolverSession(handle, backend="fast")
+    for query, result in zip(queries, batched):
+        assert_results_equal(result, single.solve(**query))
+    assert type(batched[0].mst_weight) is base_type
+    assert type(batched[-1].mst_weight) is other_type
+
+
+@needs_numpy
+def test_big_integer_columns_keep_the_exact_mst():
+    """Integer weights past 2**53 rank exactly in the batch's MST.
+
+    Casting this 4-cycle-plus-chord's columns to float64 erases both
+    changes, so a float compare against the base keeps the base MST for
+    column A — heavier than the true minimum.
+    """
+    import networkx as nx
+
+    big = 2 ** 53
+    graph = nx.cycle_graph(4)
+    graph.add_edge(0, 2)
+    nx.set_edge_attributes(graph, big, "weight")
+    session = SolverSession(graph, backend="fast")
+    edges = session.handle.edges
+
+    def column(edge, w):
+        out = list(session.handle.weights)
+        out[edges.index(edge)] = w
+        return out
+
+    a, b = column((0, 1), big + 1), column((2, 3), big + 3)
+    batched = session.solve_many([{"weights": a}, {"weights": b}])
+    assert session.stats()["vectorized_batches"] == 1
+    single = SolverSession(graph, backend="fast")
+    want = [single.solve(weights=a), single.solve(weights=b)]
+    assert want[0].mst_edges == [(0, 2), (0, 3), (1, 2)]
+    assert want[0].mst_weight == 3 * big
+    for got, expected in zip(batched, want):
+        assert_results_equal(got, expected)
+
+
 @pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
 def test_int_and_float_columns_are_not_merged(backend):
     """``1`` and ``1.0`` are equal but not the same weight: types reach results."""
@@ -356,11 +468,8 @@ def test_path_chmin_rows_match_reference():
 @needs_numpy
 def test_batched_forward_matches_scalar_forward():
     """The one fast forward phase equals the reference, at S=1 and S=4."""
-    import numpy as np
-
     from repro.core.forward import forward_phase
     from repro.fast.forward import forward_phase_fast_batch
-    from repro.runtime.batch import _group_instance, _seed_plan, _TreeGroup
     from repro.runtime.handle import GraphHandle
     from repro.runtime.plan import SolverPlan
 
@@ -371,24 +480,20 @@ def test_batched_forward_matches_scalar_forward():
     # Scale up only non-tree edges: the MST (and therefore the shared
     # structure every scenario derives from) is provably unchanged.
     nontree = [
-        i for i, e in enumerate(base.edges)
-        if tuple(sorted(e)) not in mst_set
+        e for e in base.edges if tuple(sorted(e)) not in mst_set
     ]
     rng = random.Random(22)
-    columns = [list(base.weights)]
+    instances = [base_plan.instance("fast")]
     for _ in range(3):
-        column = list(base.weights)
-        for i in rng.sample(nontree, max(1, len(nontree) // 4)):
-            column[i] = column[i] * rng.uniform(1.0, 2.5)
-        columns.append(column)
-    group = _TreeGroup(tree=base_plan.tree, mst_edges=base_plan.mst_edges)
-    instances = []
-    for column in columns:
-        handle = base.reweight(column)
-        plan = _seed_plan(handle, group)
-        instances.append(_group_instance(
-            plan, group, np.asarray(handle.weights, dtype=np.float64)
-        ))
+        diff = {
+            e: base.weights[base._pair_index[e]] * rng.uniform(1.0, 2.5)
+            for e in rng.sample(nontree, max(1, len(nontree) // 4))
+        }
+        plan = SolverPlan.from_delta(
+            base_plan, base.reweight_delta(diff), max_fraction=1.0
+        )
+        assert plan.delta_info["mode"] == "reused"
+        instances.append(plan.instance("fast"))
     for stack in (instances[1:2], instances):
         batch = forward_phase_fast_batch(stack, eps=0.25)
         assert len(batch) == len(stack)
