@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: check test bench bench-smoke bench-report example serve-smoke \
+.PHONY: check test bench bench-smoke example serve-smoke \
     docs-check lint typecheck perfbench-test
 
 test:
@@ -24,22 +24,12 @@ bench:
 perfbench-test:
 	$(PYTHON) -m pytest -q perfbench/test_perfbench.py
 
-# Trend gate: run the tracer-overhead benchmark (which also gates the
-# obs layer's cost and appends to bench_history/), then fail on any
-# metric >20% worse than its rolling median.  Fresh checkouts pass
-# trivially — histories younger than --min-prior runs are ungated.
-bench-report:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_obs_overhead.py
-	PYTHONPATH=src $(PYTHON) -m repro bench report --check
-
 example:
 	PYTHONPATH=src $(PYTHON) examples/congest_simulation.py
 
-# Serving smoke: the throughput gate (>=5x vs the naive baseline, writes
-# BENCH_serve_throughput.json) plus a 10s zipf loadgen burst against a
-# spawned sharded server asserting zero protocol errors (CI serve-smoke).
+# Serving smoke: a 10s zipf loadgen burst against a spawned sharded
+# server asserting zero protocol errors (CI serve-smoke).
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_serve_throughput.py
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --spawn --spawn-workers 2 \
 	    --duration 10 --size 80 --topologies 6 --concurrency 4 --check
 
@@ -62,6 +52,5 @@ lint:
 typecheck:
 	$(PYTHON) tools/run_mypy.py
 
-check: test perfbench-test bench-smoke bench-report example docs-check \
-    lint typecheck
+check: test perfbench-test bench-smoke example docs-check lint typecheck
 	@echo "check: OK"

@@ -4,8 +4,8 @@ Runs :func:`repro.dist.distributed_two_ecss` across graph families and
 sizes, asserts bit-identity with ``backend="reference"`` and that every
 per-primitive measured/priced ratio stays within the documented constant
 (:data:`repro.dist.RATIO_BOUND`), and records the full rounds-vs-model
-table in ``BENCH_dist_rounds.json`` at the repo root — uploaded by CI
-alongside ``BENCH_tap_backends.json``.
+table in ``BENCH_dist_rounds.json`` at the repo root (uploaded as a CI
+artifact by the ``docs`` job).
 
 Also runnable directly (no pytest) to refresh the JSON:
 
@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-
-from history import append_history
 
 from repro.analysis.tables import rounds_vs_model_table, write_report
 from repro.core.tecss import approximate_two_ecss
@@ -88,7 +86,6 @@ def run_dist_rounds_benchmark() -> dict:
     with open(BENCH_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-    append_history("dist_rounds", record)
     # Human-readable twin of the JSON artifact, under benchmarks/out/.
     write_report("dist_rounds", rounds_vs_model_table(runs, title="dist_rounds"))
     return record

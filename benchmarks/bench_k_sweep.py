@@ -30,8 +30,6 @@ import time
 
 import networkx as nx
 
-from history import append_history
-
 KS = (2, 3, 4)
 SWEEP_N = 48
 MILP_N = 12
@@ -126,7 +124,6 @@ def run_k_sweep_benchmark() -> dict:
     with open(BENCH_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-    append_history("k_sweep", record)
     return record
 
 

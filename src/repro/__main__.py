@@ -7,7 +7,6 @@
     python -m repro backends [--json]   # list registered execution backends
     python -m repro serve [options]     # run the async batching solve service
     python -m repro loadgen [options]   # drive a server with zipf traffic
-    python -m repro bench report        # benchmark trends from bench_history/
 
 ``experiments`` with no ids runs the full E1..E13 suite (minutes); with ids
 (e.g. ``e05 e11``) only those.  Tables are written to ``benchmarks/out/``
@@ -35,13 +34,11 @@ measured-vs-priced round columns to the report:
     python -m repro loadgen --duration 10 --spawn --check
 
 ``demo --trace out.json`` dumps the run's span tree as Chrome trace
-events (load in ``chrome://tracing`` or Perfetto).  ``bench report``
-renders per-benchmark metric trends from the ``bench_history/*.jsonl``
-append logs; ``--check`` exits 1 when the latest sample regresses more
-than the threshold against the rolling median of prior runs — the CI
-regression gate:
+events (load in ``chrome://tracing`` or Perfetto).
 
-    python -m repro bench report --check --threshold 0.2
+Each subcommand imports only what it runs: ``demo``, ``backends``,
+``serve`` and ``loadgen`` need nothing beyond ``networkx``, while
+``experiments`` pulls in the MILP baselines (numpy, scipy).
 
 Every subcommand exits 0 on success and 2 on usage errors (unknown
 subcommand, invalid arguments), with a one-line message on stderr.
@@ -52,26 +49,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import experiments as E
 from repro.analysis.tables import format_table, write_report
-
-EXPERIMENTS = {
-    "e01": ("e01_tecss_approx", E.e01_tecss_approx),
-    "e02": ("e02_round_complexity", E.e02_round_complexity),
-    "e03": ("e03_tap_on_gprime", E.e03_tap_approx),
-    "e03b": ("e03_tap_vs_milp", E.e03_tap_vs_milp),
-    "e04": ("e04_ablation_c4_vs_c2", E.e04_ablation),
-    "e05": ("e05_layering", E.e05_layering),
-    "e06": ("e06_unweighted_tap", E.e06_unweighted),
-    "e07": ("e07_shortcut_algorithm", E.e07_shortcut_algorithm),
-    "e07b": ("e07_shortcut_quality", E.e07_shortcut_quality),
-    "e08": ("e08_shortcut_tools", E.e08_shortcut_tools),
-    "e09": ("e09_subroutines", E.e09_subroutines),
-    "e10": ("e10_forward_iters", E.e10_forward_iterations),
-    "e11": ("e11_segments", E.e11_segments),
-    "e12": ("e12_comparison", E.e12_comparison),
-    "e13": ("e13_sim_engine", E.e13_sim_engine),
-}
 
 
 class CliError(Exception):
@@ -120,14 +98,33 @@ def run_demo(argv: list[str]) -> int:
 
 
 def run_experiments(ids: list[str]) -> int:
-    targets = ids or sorted(EXPERIMENTS)
+    from repro.analysis import experiments as E
+
+    experiments = {
+        "e01": ("e01_tecss_approx", E.e01_tecss_approx),
+        "e02": ("e02_round_complexity", E.e02_round_complexity),
+        "e03": ("e03_tap_on_gprime", E.e03_tap_approx),
+        "e03b": ("e03_tap_vs_milp", E.e03_tap_vs_milp),
+        "e04": ("e04_ablation_c4_vs_c2", E.e04_ablation),
+        "e05": ("e05_layering", E.e05_layering),
+        "e06": ("e06_unweighted_tap", E.e06_unweighted),
+        "e07": ("e07_shortcut_algorithm", E.e07_shortcut_algorithm),
+        "e07b": ("e07_shortcut_quality", E.e07_shortcut_quality),
+        "e08": ("e08_shortcut_tools", E.e08_shortcut_tools),
+        "e09": ("e09_subroutines", E.e09_subroutines),
+        "e10": ("e10_forward_iters", E.e10_forward_iterations),
+        "e11": ("e11_segments", E.e11_segments),
+        "e12": ("e12_comparison", E.e12_comparison),
+        "e13": ("e13_sim_engine", E.e13_sim_engine),
+    }
+    targets = ids or sorted(experiments)
     for key in targets:
-        if key not in EXPERIMENTS:
+        if key not in experiments:
             raise CliError(
                 f"unknown experiment {key!r}; known: "
-                f"{', '.join(sorted(EXPERIMENTS))}"
+                f"{', '.join(sorted(experiments))}"
             )
-        name, fn = EXPERIMENTS[key]
+        name, fn = experiments[key]
         rows = fn()
         table = format_table(rows, title=name)
         path = write_report(name, table)
@@ -361,11 +358,6 @@ def run_serve_cli(argv: list[str]) -> int:
         help="per-worker session LRU size (default: %(default)s)",
     )
     parser.add_argument(
-        "--mode", default=defaults.mode, choices=("session", "per-request"),
-        help="'session' serves from warm sharded sessions; 'per-request' "
-        "is the naive benchmark baseline (default: %(default)s)",
-    )
-    parser.add_argument(
         "--no-tracing", action="store_true",
         help="disable span tracing (drops the /metrics per-phase "
         "breakdown and the per-request timings block)",
@@ -388,7 +380,6 @@ def run_serve_cli(argv: list[str]) -> int:
         engine=args.engine,
         max_plans=args.max_plans,
         max_sessions=args.max_sessions,
-        mode=args.mode,
         tracing=not args.no_tracing,
     ))
 
@@ -584,107 +575,6 @@ def run_loadgen_cli(argv: list[str]) -> int:
     return 0
 
 
-def run_bench_cli(argv: list[str]) -> int:
-    """``bench report``: render benchmark trends from the history logs."""
-    import json
-    import os
-
-    from repro.obs.report import (
-        check_trends,
-        compute_trends,
-        load_history,
-        render_report,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description=(
-            "Benchmark history tooling.  'report' reads the append-only "
-            "bench_history/*.jsonl logs and renders per-benchmark metric "
-            "trends (latest value vs the rolling median of prior runs)."
-        ),
-    )
-    parser.add_argument("action", choices=("report",))
-    default_history = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))), "bench_history",
-    )
-    parser.add_argument(
-        "--history", default=default_history,
-        help="history directory of *.jsonl append logs "
-        "(default: <repo>/bench_history)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=10,
-        help="prior runs in the rolling median (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="regression gate: fail --check when the latest value is this "
-        "fraction worse than the rolling median (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-prior", type=int, default=3,
-        help="gate a metric only once it has this many prior samples — "
-        "fresh histories pass vacuously (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if any gated metric regressed past the threshold "
-        "(the CI gate)",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable trend rows instead of the table",
-    )
-    args = parser.parse_args(argv)
-
-    if not os.path.isdir(args.history):
-        raise CliError(
-            f"history directory {args.history!r} does not exist; run some "
-            "benchmarks first (make bench) or pass --history"
-        )
-    histories = load_history(args.history)
-    trends = compute_trends(
-        histories,
-        window=args.window,
-        threshold=args.threshold,
-        min_prior=args.min_prior,
-    )
-    if args.json:
-        print(json.dumps(
-            [
-                {
-                    "benchmark": t.benchmark,
-                    "metric": t.metric,
-                    "latest": t.latest,
-                    "direction": t.direction,
-                    "prior_median": t.prior_median,
-                    "prior_count": t.prior_count,
-                    "regression": t.regression,
-                    "gated": t.gated,
-                    "failed": t.failed,
-                }
-                for t in trends
-            ],
-            indent=2,
-        ))
-    else:
-        print(render_report(trends, threshold=args.threshold))
-    if args.check:
-        failed = check_trends(trends)
-        if failed:
-            for t in failed:
-                print(
-                    f"bench report: {t.benchmark}.{t.metric} regressed "
-                    f"{t.regression * 100.0:+.1f}% vs median "
-                    f"{t.prior_median:g} over {t.prior_count} prior run(s)",
-                    file=sys.stderr,
-                )
-            return 1
-    return 0
-
-
 def run_figures() -> int:
     import os
 
@@ -709,7 +599,6 @@ COMMANDS = {
     "backends": run_backends,
     "serve": run_serve_cli,
     "loadgen": run_loadgen_cli,
-    "bench": run_bench_cli,
     "figures": lambda rest: run_figures(),
 }
 

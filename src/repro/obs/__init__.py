@@ -1,20 +1,19 @@
-"""Observability layer: structured tracing and benchmark trend reporting.
+"""Observability layer: structured tracing.
 
-``repro.obs`` is the stdlib-only substrate every perf claim in this repo
-reports through (ROADMAP item 5).  It has two halves:
+``repro.obs`` is the stdlib-only substrate the solver stack reports its
+phases through; the perfbench latency ledger (``perfbench/``) reads the
+same spans to attribute a request's time to layers.
 
-* :mod:`repro.obs.trace` — ``Span``/``Tracer`` structured tracing with
-  context-manager and decorator APIs.  Parent linkage propagates through
-  a :mod:`contextvars` variable, so nesting is correct under
-  ``repro.serve``'s asyncio loop (each task sees its own span stack) and
-  span trees serialize to plain dicts so worker processes can ship them
-  back alongside results.  When tracing is disabled (the default) the
-  instrumented call sites cost one attribute check and return a shared
-  no-op span — see ``BENCH_obs_overhead.json`` for the measured bound.
-* :mod:`repro.obs.report` — trend tables and rolling-median regression
-  gates over the ``bench_history/*.jsonl`` records that
-  ``benchmarks/history.py`` appends, exposed as
-  ``python -m repro bench report [--check]``.
+:mod:`repro.obs.trace` provides ``Span``/``Tracer`` structured tracing
+with context-manager and decorator APIs.  Parent linkage propagates
+through a :mod:`contextvars` variable, so nesting is correct under
+``repro.serve``'s asyncio loop (each task sees its own span stack) and
+span trees serialize to plain dicts so worker processes can ship them
+back alongside results.  When tracing is disabled (the default) the
+instrumented call sites cost one attribute check and return a shared
+no-op span.  perfbench measures every end-to-end metric with tracing
+off, so that cost sits inside each workload's bound; its traced run
+reports the enabled cost as ``obs.overhead_pct``.
 
 Import note: this package imports nothing from the rest of ``repro``, so
 any layer (``runtime``, ``fast``, ``serve``, the CLI) can instrument

@@ -8,8 +8,8 @@ Design notes, in the order they matter:
   other work.  Disabled, :func:`span` returns the shared
   :data:`NOOP_SPAN` singleton (empty ``__enter__``/``__exit__``, no
   allocation, no contextvar writes), so instrumentation is safe on hot
-  paths — the bound is measured and gated in
-  ``benchmarks/bench_obs_overhead.py``.
+  paths — every perfbench workload times its end-to-end metrics with
+  tracing off, through these call sites.
 * **Parent linkage via contextvars.**  Entering a span sets a
   context-local "current span" and appends itself to the previous
   one's children.  Because asyncio tasks each run in a copy of the

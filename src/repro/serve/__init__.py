@@ -20,8 +20,7 @@ Module map (one responsibility each):
 * :mod:`~repro.serve.batcher` — per-topology micro-batching with
   ``max_batch`` / ``max_delay`` knobs;
 * :mod:`~repro.serve.workers` — topology-sharded process pool, warm
-  imports, per-worker session LRU, graceful drain, and the naive
-  per-request baseline mode the throughput benchmark compares against;
+  imports, per-worker session LRU, graceful drain;
 * :mod:`~repro.serve.app` — routes (``/v1/solve``, ``/v1/solve_batch``,
   ``/healthz``, ``/metrics``, ``/backends``) over a transport-free
   dispatch core;
@@ -31,9 +30,10 @@ Module map (one responsibility each):
   generation.
 
 CLI: ``python -m repro serve`` / ``python -m repro loadgen``.  The wire
-bit-identity contract is held by ``tests/test_serve_wire.py``; throughput
-vs the naive baseline is gated (≥5x at n=2000) by
-``benchmarks/bench_serve_throughput.py`` → ``BENCH_serve_throughput.json``.
+bit-identity contract is held by ``tests/test_serve_wire.py``.  Latency
+through warm sharded sessions is measured end to end by perfbench's
+``serve_open`` workload (a spawned ``serve --workers 1`` under an open
+loop), which the paired A/B in ``tools/perf_ab.py`` gates.
 
 The serving layer sits *outside* the paper's model (a CONGEST algorithm
 does not have an HTTP front door); see ``docs/PAPER_MAP.md``.

@@ -87,9 +87,6 @@ class ServeConfig:
     max_sessions: int = 64
     #: Dispatcher-side raw-edge store cap (topology registrations).
     max_topologies: int = 128
-    #: ``"session"`` serves from warm sharded sessions; ``"per-request"``
-    #: is the naive spawn-a-session-per-request baseline (benchmark only).
-    mode: str = "session"
     #: Largest accepted request body, in bytes.
     max_body: int = 64 * 1024 * 1024
     #: Cap on ``/v1/solve_batch`` fan-in.
@@ -119,7 +116,6 @@ class ServeApp:
         self.metrics = ServeMetrics()
         self.pool = ShardedWorkerPool(
             shards=self.config.workers,
-            mode=self.config.mode,
             settings=self.config.worker_settings(),
         )
         self.batcher = MicroBatcher(
@@ -335,9 +331,7 @@ class ServeApp:
         if "error" in item:
             status = item.get("status", 500)
             payload = error_payload(
-                item["error"]["code"],
-                item["error"]["message"],
-                item["error"].get("field"),
+                item["error"]["code"], item["error"]["message"]
             )
             payload["topology"] = request.topology
             return status, payload
@@ -349,7 +343,6 @@ class ServeApp:
             "server": {
                 "shard": item["shard"],
                 "batch_size": item["batch_size"],
-                "mode": self.config.mode,
             },
         }
         if request.timings:
@@ -451,7 +444,6 @@ class ServeApp:
             "protocol": PROTOCOL_VERSION,
             "status": "ok",
             "version": repro.__version__,
-            "mode": self.config.mode,
             "workers": self.pool.num_shards,
             "inline": self.pool.inline,
             "topologies": len(self._topologies),

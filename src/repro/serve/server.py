@@ -59,7 +59,8 @@ class HttpServer:
         self.host = host if host is not None else self.app.config.host
         self.port = port if port is not None else self.app.config.port
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        #: Open connections: handler task -> its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Connections currently processing a request (vs idle keep-alive).
         self._busy: set[asyncio.Task] = set()
         #: Set by aclose(): handlers finish their in-flight request, send
@@ -83,18 +84,20 @@ class HttpServer:
 
     async def aclose(self) -> None:
         """Stop accepting, settle open connections, drain, stop workers."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Idle keep-alive connections are parked in readline() and would
-        # stall a graceful-wait forever: cancel them right away.  Busy
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Idle keep-alive connections are parked in readline(): closing
+        # their transport feeds it EOF, and the handler returns as it does
+        # when a client hangs up.  (Cancelling the handler instead makes
+        # asyncio's stream protocol log the CancelledError.)  Busy
         # handlers see the closing flag, answer their in-flight request
         # with ``Connection: close``, and exit on their own — the timeout
         # only cancels genuinely stuck stragglers.
         self._closing = True
-        for task in list(self._connections - self._busy):
-            task.cancel()
+        for task, writer in list(self._connections.items()):
+            if task not in self._busy:
+                writer.close()
         busy = list(self._busy)
         if busy:
             _, pending = await asyncio.wait(busy, timeout=5.0)
@@ -104,6 +107,10 @@ class HttpServer:
             await asyncio.gather(
                 *list(self._connections), return_exceptions=True
             )
+        if server is not None:
+            # Last: on newer Pythons wait_closed() also waits for every
+            # open connection, so it must not run before they are closed.
+            await server.wait_closed()
         await self.app.shutdown()
 
     # ------------------------------------------------------------------
@@ -116,8 +123,10 @@ class HttpServer:
         """Serve one connection: a keep-alive loop of request/response."""
         task = asyncio.current_task()
         if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+            self._connections[task] = writer
+            task.add_done_callback(
+                lambda done: self._connections.pop(done, None)
+            )
         try:
             while True:
                 try:
@@ -261,7 +270,7 @@ async def _serve(config: ServeConfig, ready=None) -> None:
     await server.start()
     print(
         f"repro serve: listening on http://{server.host}:{server.port} "
-        f"(mode={config.mode}, workers={config.workers}, "
+        f"(workers={config.workers}, "
         f"max_batch={config.max_batch}, max_delay={config.max_delay_ms}ms)",
         flush=True,
     )

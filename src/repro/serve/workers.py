@@ -15,13 +15,6 @@ in the pool initializer so first-request latency measures solving, not
 imports.  ``shards=0`` selects the inline pool — same code path executed
 in-process on a thread (via ``asyncio.to_thread``), used by the tests and
 by single-process deployments.
-
-``mode="per-request"`` is the **naive baseline** the throughput benchmark
-compares against: every request builds a fresh
-:class:`~repro.runtime.handle.GraphHandle` and session from the raw edge
-payload — exactly what a service without the runtime layer's reuse would
-do.  It exists only for measurement honesty; production serving is
-``mode="session"``.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ def configure_worker(settings: dict | None = None) -> None:
     """Pool initializer: warm-import the solver stack, set worker knobs.
 
     Idempotent; also clears the session cache so a reconfigured inline
-    pool (tests, benchmark mode switches) never reuses stale sessions.
+    pool (tests) never reuses stale sessions.
     The ``tracing`` knob installs (or removes) this process's span
     tracer — worker processes have their own interpreter, so the server
     cannot enable tracing for them from the outside; the setting rides
@@ -113,20 +106,19 @@ def _exception_codes() -> "dict[type, tuple[str, int]]":
 
 
 def error_item_from_exception(exc: Exception) -> dict:
-    """Map a solver/validation exception to a structured per-item error."""
-    field = None
-    if isinstance(exc, ProtocolError):
-        code, status, field = exc.code, exc.status, exc.field
-    else:
-        code, status = "solver-error", 500
-        for exc_type, (exc_code, exc_status) in _exception_codes().items():
-            if isinstance(exc, exc_type):
-                code, status = exc_code, exc_status
-                break
-    error: dict = {"code": code, "message": str(exc)}
-    if field is not None:
-        error["field"] = field
-    return {"error": error, "status": status}
+    """Map a solver/validation exception to a structured per-item error.
+
+    Code running in a shard raises library exceptions, never a
+    :class:`~repro.serve.protocol.ProtocolError`: request schemas are
+    checked in the event loop before dispatch.  So a per-item error
+    names no request ``field``.
+    """
+    code, status = "solver-error", 500
+    for exc_type, (exc_code, exc_status) in _exception_codes().items():
+        if isinstance(exc, exc_type):
+            code, status = exc_code, exc_status
+            break
+    return {"error": {"code": code, "message": str(exc)}, "status": status}
 
 
 def _original_graph(handle):
@@ -146,15 +138,13 @@ def _original_graph(handle):
     return g
 
 
-def _query_for(session, request: SolveRequest, with_weights: bool = True):
+def _query_for(session, request: SolveRequest):
     """Translate one wire request into a :class:`SolveQuery`.
 
     A wire ``delta`` becomes the session's sparse ``weights_delta``
     mapping — keyed by caller-labeled edge pairs, which
     :meth:`~repro.runtime.handle.GraphHandle.reweight_delta` resolves
-    against the registered edge order.  ``with_weights=False`` drops the
-    reweight column *and* the delta — used by the naive baseline, which
-    bakes the weights into the per-request graph instead.
+    against the registered edge order.
     """
     from repro.runtime.session import SolveQuery
 
@@ -164,7 +154,7 @@ def _query_for(session, request: SolveRequest, with_weights: bool = True):
             request.failures, _original_graph(session.handle)
         )
     delta = None
-    if request.delta is not None and with_weights:
+    if request.delta is not None:
         delta = {(u, v): w for u, v, w in request.delta}
     return SolveQuery(
         eps=request.eps,
@@ -173,7 +163,7 @@ def _query_for(session, request: SolveRequest, with_weights: bool = True):
         validate=request.validate,
         backend=request.backend,
         engine=request.engine,
-        weights=request.weights if with_weights else None,
+        weights=request.weights,
         weights_delta=delta,
         failures=failures,
         simulate_mst=request.simulate_mst,
@@ -243,69 +233,11 @@ def _solve_on_session(session, requests: list[SolveRequest]) -> list[dict]:
     return [items[i] for i in range(len(requests))]
 
 
-def _solve_per_request(
-    graph: dict, requests: list[SolveRequest]
-) -> list[dict]:
-    """The naive baseline: a fresh handle + session for every request."""
-    from repro.runtime.session import SolverSession
-
-    edges = graph["edges"]
-    items = []
-    for request in requests:
-        try:
-            row = edges
-            if request.weights is not None:
-                if len(request.weights) != len(edges):
-                    raise ProtocolError(
-                        "invalid-weight",
-                        f"weights needs {len(edges)} entries, "
-                        f"got {len(request.weights)}",
-                        field="weights",
-                    )
-                row = [
-                    [u, v, w]
-                    for (u, v, _), w in zip(edges, request.weights)
-                ]
-            if request.delta is not None:
-                # The baseline has no incremental path: splice the sparse
-                # diff into a full per-request edge list instead.
-                changed = {
-                    frozenset(((type(u).__name__, u), (type(v).__name__, v))): w
-                    for u, v, w in request.delta
-                }
-                row = [
-                    [u, v, changed.pop(
-                        frozenset(
-                            ((type(u).__name__, u), (type(v).__name__, v))
-                        ), w,
-                    )]
-                    for u, v, w in row
-                ]
-                if changed:
-                    raise ProtocolError(
-                        "invalid-field",
-                        f"delta names {len(changed)} edge(s) not in the "
-                        "registered topology",
-                        field="delta",
-                    )
-            session = SolverSession(
-                graph_from_payload({"nodes": graph["nodes"], "edges": row}),
-                backend=_SETTINGS["backend"],
-                engine=_SETTINGS["engine"],
-            )
-            query = _query_for(session, request, with_weights=False)
-            (result,) = session.solve_many([query])
-            items.append({"result": result_to_payload(result)})
-        except Exception as exc:  # noqa: BLE001 - structured per item
-            items.append(error_item_from_exception(exc))
-    return items
-
-
 def solve_batch_payload(payload: dict) -> dict:
     """Worker entry point: solve one coalesced batch (runs in the shard).
 
-    ``payload`` carries ``topology``, an optional ``graph`` payload, the
-    parsed ``requests``, and ``mode``.  Returns ``{"items": [...]}`` with
+    ``payload`` carries ``topology``, an optional ``graph`` payload and
+    the parsed ``requests``.  Returns ``{"items": [...]}`` with
     one ``{"result": ...}`` or ``{"error": ..., "status": ...}`` per
     request (in order), plus the owning session's
     :meth:`~repro.runtime.session.SolverSession.stats` snapshot and the
@@ -315,14 +247,6 @@ def solve_batch_payload(payload: dict) -> dict:
     topology = payload["topology"]
     graph = payload.get("graph")
     requests: list[SolveRequest] = payload["requests"]
-    if payload.get("mode") == "per-request":
-        if graph is None:
-            return {"unknown_topology": True}
-        return {
-            "items": _solve_per_request(graph, requests),
-            "stats": None,
-            "pid": os.getpid(),
-        }
     try:
         session = _session_for(topology, graph)
     except Exception as exc:  # noqa: BLE001 - bad graph fails every item
@@ -380,18 +304,8 @@ class ShardedWorkerPool:
     ``unknown_topology`` and the pool retries once with edges attached.
     """
 
-    def __init__(
-        self,
-        shards: int = 1,
-        mode: str = "session",
-        settings: dict | None = None,
-    ) -> None:
-        if mode not in ("session", "per-request"):
-            raise ValueError(
-                f"mode must be 'session' or 'per-request', got {mode!r}"
-            )
+    def __init__(self, shards: int = 1, settings: dict | None = None) -> None:
         self.shards = max(0, shards)
-        self.mode = mode
         self.settings = dict(settings or {})
         self._executors: list[ProcessPoolExecutor] = []
         # Inline mode still needs the single-threaded-session guarantee:
@@ -467,16 +381,13 @@ class ShardedWorkerPool:
         """
         shard = self.shard_of(topology)
         known = self._known[shard]
-        send_graph = graph if (
-            topology not in known or self.mode == "per-request"
-        ) else None
+        send_graph = graph if topology not in known else None
         if topology in known:
             known.move_to_end(topology)
         payload = {
             "topology": topology,
             "graph": send_graph,
             "requests": requests,
-            "mode": self.mode,
         }
         out = await self._run(shard, solve_batch_payload, payload)
         if out.get("unknown_topology") and send_graph is None:

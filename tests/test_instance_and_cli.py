@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -124,6 +128,26 @@ class TestCliExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert "cannot reach" in err and "--spawn" in err
+
+
+def test_cli_needs_neither_numpy_nor_scipy(tmp_path):
+    """``demo`` and ``backends`` run on a networkx-only install: packages
+    named numpy and scipy that fail to import shadow any installed ones."""
+    for name in ("numpy", "scipy"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "__init__.py").write_text(
+            f"raise ImportError('{name} is not installed')\n"
+        )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    for argv in (["demo"], ["backends"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBackendsCli:

@@ -123,12 +123,6 @@ class TestShardedPool:
         assert shards == [pool4.shard_of(k) for k in keys]  # stable
         assert set(shards) == {0, 1, 2, 3}  # all shards used
 
-    def test_bad_mode_rejected(self):
-        from repro.serve.workers import ShardedWorkerPool
-
-        with pytest.raises(ValueError, match="mode"):
-            ShardedWorkerPool(mode="warp")
-
     def test_unknown_topology_without_graph_raises(self):
         from repro.serve.protocol import SolveRequest
         from repro.serve.workers import ShardedWorkerPool

@@ -13,6 +13,12 @@ both engines, reweighted queries, and failure plans.
 from __future__ import annotations
 
 import asyncio
+import http.client
+import os
+import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -326,6 +332,11 @@ def test_solve_batch_isolates_parse_and_topology_errors():
 
 
 def test_metric_labels_are_bounded_and_worker_errors_keep_field():
+    graphs = [
+        make_family_instance("cycle_chords", 14, seed=seed)
+        for seed in (2, 3, 4)
+    ]
+
     async def scenario(client, server):
         for path in ("/a", "/b", "/c"):
             await client.request("GET", path)
@@ -333,19 +344,38 @@ def test_metric_labels_are_bounded_and_worker_errors_keep_field():
         assert status == 200
         labels = set(metrics["latency"])
         assert "GET /a" not in labels and "other" in labels
-        # Worker-raised ProtocolError keeps its field pointer on the wire
-        # (per-request mode validates the weights column in the worker).
-        graph = make_family_instance("cycle_chords", 14, seed=2)
-        status, first = await client.request("POST", "/v1/solve", {
-            "graph": graph_payload(graph),
+        # An error the worker pool raises after dispatch keeps its field
+        # pointer on the wire.  Topology 0 is admitted, then evicted from
+        # the dispatcher store (by topology 2, registered in the same
+        # batch) and from its worker (by topology 1) before its flush:
+        # the shard answers unknown-topology and the pool has no graph
+        # left to resend.
+        keys = []
+        for graph in graphs[:2]:
+            status, resp = await client.request("POST", "/v1/solve", {
+                "graph": graph_payload(graph),
+            })
+            assert status == 200, resp
+            keys.append(resp["topology"])
+        status, resp = await client.request("POST", "/v1/solve_batch", {
+            "requests": [
+                {"topology": keys[0]},
+                {"graph": graph_payload(graphs[2])},
+            ],
         })
-        assert status == 200
-        status, resp = await client.request("POST", "/v1/solve", {
-            "topology": first["topology"], "weights": [1.0],
-        })
-        assert status == 400 and resp["error"]["field"] == "weights"
+        assert status == 200, resp
+        evicted, registered = resp["responses"]
+        assert evicted["status"] == 404
+        assert evicted["error"]["code"] == "unknown-topology"
+        assert evicted["error"]["field"] == "topology"
+        assert registered["status"] == 200
+        # Admitted, so not the dispatcher's fail-fast check.
+        status, metrics = await client.request("GET", "/metrics")
+        assert "solve.unknown_topology" not in metrics["counters"]
 
-    serve_session(scenario, ServeConfig(workers=0, mode="per-request"))
+    serve_session(
+        scenario, ServeConfig(workers=0, max_topologies=2, max_sessions=1)
+    )
 
 
 def test_oversize_header_line_answers_400():
@@ -366,6 +396,39 @@ def test_oversize_header_line_answers_400():
     serve_session(scenario)
 
 
+def test_sigint_closes_idle_keepalive_connections_cleanly():
+    """Shutdown closes an idle keep-alive connection instead of cancelling
+    its handler, which made asyncio log a ``CancelledError`` traceback."""
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workers", "0",
+         "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        port = int(re.search(
+            r"listening on http://[^:]+:(\d+)", proc.stdout.readline()
+        ).group(1))
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        response.read()  # the connection stays open, idle
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        conn.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "shut down cleanly" in out
+    assert "Traceback" not in err, err
+
+
 def test_solve_batch_rejects_oversize_and_bad_shape():
     async def scenario(client, server):
         status, resp = await client.request("POST", "/v1/solve_batch", {})
@@ -379,24 +442,6 @@ def test_solve_batch_rejects_oversize_and_bad_shape():
         scenario,
         ServeConfig(workers=0, max_batch_request=4),
     )
-
-
-def test_naive_mode_still_bit_identical():
-    """per-request mode (the benchmark baseline) serves correct results."""
-    graph = make_family_instance("cycle_chords", 18, seed=6)
-
-    async def scenario(client, server):
-        status, resp = await client.request("POST", "/v1/solve", {
-            "graph": graph_payload(graph), "eps": 0.5,
-        })
-        assert status == 200, resp
-        want = result_to_payload(
-            approximate_two_ecss(graph, eps=0.5, backend="auto")
-        )
-        assert resp["result"] == want
-        assert resp["server"]["mode"] == "per-request"
-
-    serve_session(scenario, ServeConfig(workers=0, mode="per-request"))
 
 
 # ---------------------------------------------------------------------------
