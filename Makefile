@@ -33,7 +33,8 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --spawn --spawn-workers 2 \
 	    --duration 10 --size 80 --topologies 6 --concurrency 4 --check
 
-# Docs gate: relative links in docs/ + README resolve; modules, public
+# Docs gate: relative links in docs/ + README resolve; dotted repro.*
+# references in README, docs/ and src/repro resolve; modules, public
 # classes and public functions in repro.sim / repro.core / repro.fast
 # carry docstrings (the CI docs job runs the same script).
 docs-check:

@@ -1,8 +1,9 @@
-"""E13 — the batched CONGEST engine (repro.sim) vs the legacy oracle.
+"""E13 — the CONGEST engine's event-driven scheduler vs the synchronous one.
 
-Measured: identical RunStats between the legacy per-node ``Network`` and
-``BatchedNetwork`` on every instance (the differential guarantee), the
-wall-clock speedup of the batched engine, and the measured rounds staying
+Measured: identical RunStats under the synchronous scheduler (every node
+every round, valid for any program) and the event-driven one on every
+instance (the differential guarantee), the wall-clock speedup of the
+event-driven scheduler (best of 3 each), and the measured rounds staying
 under the Level-M price of one aggregate and the Theorem 1.1 envelope.
 Expected shape: stats always equal, speedup growing with n and >= 3x on
 the largest instances.
@@ -19,9 +20,10 @@ def test_e13_sim_engine(benchmark):
     assert all(r["within_price"] for r in rows)
     assert all(r["within_thm11"] for r in rows)
     # the acceptance-criterion regime: on high-diameter instances the idle
-    # regions are large and the event-driven engine must clear 3x; on
-    # message-dense low-diameter families both engines are validation-bound
-    # and we only require no regression (with slack for timer noise)
+    # regions are large and the event-driven scheduler must clear 3x; on
+    # message-dense low-diameter families both schedulers are
+    # validation-bound and we only require no regression (with slack for
+    # timer noise)
     big_grid = [r for r in rows if r["family"] == "grid" and r["n"] >= 800]
     assert big_grid and all(r["speedup"] >= 3 for r in big_grid), [
         (r["family"], r["n"], round(r["speedup"], 1)) for r in rows

@@ -15,9 +15,7 @@ from repro.decomp.layering import Layering
 from repro.decomp.petals import PetalOracle
 from repro.decomp.segments import SegmentDecomposition
 from repro.graphs import grid_graph
-from repro.model.network import Network
-from repro.model.programs import DistributedBFS
-from repro.sim import BatchedNetwork, RandomGossip
+from repro.sim import BatchedNetwork, DistributedBFS, RandomGossip
 from repro.trees.pathops import TreePathOps
 from repro.trees.rooted import RootedTree
 
@@ -90,16 +88,18 @@ def test_bench_full_tap(benchmark):
 
 
 # -- CONGEST engine micro-benchmarks ------------------------------------
-# The legacy/batched pair on the same 2000+-node workload is the
-# regression tripwire for the ISSUE-1 acceptance criterion (>= 3x).
+# The sync/event scheduler pair on the same 2000+-node workload is the
+# regression tripwire for the event-driven scheduler's >= 3x.
 
 _SIM_GRID = (45, 45)  # 2025 nodes
 
 
-def test_bench_congest_legacy_bfs_2000(benchmark):
+def test_bench_congest_sync_bfs_2000(benchmark):
     g = grid_graph(*_SIM_GRID, seed=1)
     benchmark.pedantic(
-        lambda: Network(g).run(DistributedBFS(0)), rounds=2, iterations=1
+        lambda: BatchedNetwork(g, scheduler="sync").run(DistributedBFS(0)),
+        rounds=2,
+        iterations=1,
     )
 
 

@@ -4,9 +4,10 @@ Every message is bandwidth-checked (O(log n) bits per edge per round) and
 round counts are measured, not modeled: BFS finishes in eccentricity
 rounds, tree aggregation in height rounds, and the Borůvka MST matches the
 centralized MST weight while reporting its real phase/round usage.  The
-run finishes with the engine's party pieces: a differential check against
-the legacy per-node oracle, the ≥3x batched speedup, and a failure-
-injection scenario that severs an edge mid-broadcast.
+run finishes with the engine's party pieces: a differential check of the
+event-driven scheduler against the every-node-every-round synchronous
+one, the event-driven speedup, and a failure-injection scenario that
+severs an edge mid-broadcast.
 
     python examples/congest_simulation.py
 """
@@ -18,8 +19,13 @@ import time
 import networkx as nx
 
 from repro.graphs import cycle_with_chords, grid_graph
-from repro.model import BoruvkaMST, DistributedBFS, Network, TreeAggregate
-from repro.sim import BatchedNetwork, FailurePlan
+from repro.sim import (
+    BatchedNetwork,
+    BoruvkaMST,
+    DistributedBFS,
+    FailurePlan,
+    TreeAggregate,
+)
 
 
 def main() -> None:
@@ -54,20 +60,21 @@ def main() -> None:
           f"{out.stats.rounds} measured rounds, {out.stats.messages} messages")
     assert abs(out.weight - expected) < 1e-9
 
-    # Differential: the legacy per-node loop is the reference oracle.
+    # Differential: the synchronous scheduler steps every node every round
+    # and is valid for any program, so it is the oracle.
     big = grid_graph(45, 45, seed=7)
     t0 = time.perf_counter()
-    s_legacy = Network(big).run(DistributedBFS(0))
-    t_legacy = time.perf_counter() - t0
+    s_sync = BatchedNetwork(big, scheduler="sync").run(DistributedBFS(0))
+    t_sync = time.perf_counter() - t0
     t0 = time.perf_counter()
-    s_batched = BatchedNetwork(big).run(DistributedBFS(0))
-    t_batched = time.perf_counter() - t0
-    assert s_legacy == s_batched
+    s_event = BatchedNetwork(big).run(DistributedBFS(0))
+    t_event = time.perf_counter() - t0
+    assert s_sync == s_event
     print(f"\ndifferential BFS on {big.number_of_nodes()}-node grid: "
-          f"identical stats ({s_batched.rounds} rounds, "
-          f"{s_batched.messages} msgs); legacy {t_legacy*1e3:.0f} ms, "
-          f"batched {t_batched*1e3:.0f} ms "
-          f"({t_legacy/t_batched:.1f}x speedup)")
+          f"identical stats ({s_event.rounds} rounds, "
+          f"{s_event.messages} msgs); sync {t_sync*1e3:.0f} ms, "
+          f"event {t_event*1e3:.0f} ms "
+          f"({t_sync/t_event:.1f}x speedup)")
 
     # Failure injection: sever a cycle edge; BFS routes the long way round.
     ring = nx.cycle_graph(12)

@@ -22,7 +22,7 @@ from repro.core.unweighted import unweighted_tap
 from repro.dist import distributed_two_ecss
 from repro.runtime import SolveQuery, SolverSession
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "SolveQuery",

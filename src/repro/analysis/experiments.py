@@ -530,7 +530,7 @@ def e11_segments(sizes=(100, 400, 900, 1600), families=("erdos_renyi", "hub_cycl
 
 
 # ----------------------------------------------------------------------
-# E13 — the batched simulation engine (repro.sim)
+# E13 — the CONGEST engine's schedulers (repro.sim): event vs sync
 # ----------------------------------------------------------------------
 
 def e13_sim_engine(
@@ -538,31 +538,35 @@ def e13_sim_engine(
     sizes=(100, 400, 900),
     seed: int = 1,
 ):
-    """Differential + performance sweep of the batched CONGEST engine.
+    """Differential + performance sweep of the CONGEST engine's schedulers.
 
-    For each instance: run BFS on the legacy per-node ``Network`` and on
-    ``repro.sim.BatchedNetwork``, assert identical measured ``RunStats``
-    (the differential cross-check), record wall-clock speedup, and compare
-    the measured rounds against the Level-M price of one aggregate and the
+    For each instance: run BFS under the synchronous scheduler (every node
+    every round, valid for any program) and the event-driven one, assert
+    identical measured ``RunStats`` (the differential cross-check), record
+    the wall-clock speedup (best of 3 per scheduler), and compare the
+    measured rounds against the Level-M price of one aggregate and the
     Theorem 1.1 bound via :class:`~repro.sim.ScenarioRunner` pricing.
     """
-    from repro.model.network import Network as LegacyNetwork
-    from repro.model.programs import DistributedBFS
-    from repro.sim import BatchedNetwork, ScenarioRunner, default_specs
+    from repro.sim import BatchedNetwork, DistributedBFS, ScenarioRunner, default_specs
+
+    def clock(g, scheduler):
+        best, stats = float("inf"), None
+        for _ in range(3):
+            net = BatchedNetwork(g, scheduler=scheduler)
+            t0 = time.perf_counter()
+            stats = net.run(DistributedBFS(0))
+            best = min(best, time.perf_counter() - t0)
+        return best, stats
 
     bfs_spec = default_specs()[0]
-    runner = ScenarioRunner(engine="batched")
+    runner = ScenarioRunner()
     rows = []
     for family in families:
         for n in sizes:
             g = make_family_instance(family, n, seed=seed)
             res = runner.run_one(g, bfs_spec, family=family, seed=seed)
-            t0 = time.perf_counter()
-            legacy_stats = LegacyNetwork(g).run(DistributedBFS(0))
-            t_legacy = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            batched_stats = BatchedNetwork(g).run(DistributedBFS(0))
-            t_batched = time.perf_counter() - t0
+            t_sync, sync_stats = clock(g, "sync")
+            t_event, event_stats = clock(g, "event")
             rows.append(
                 {
                     "family": family,
@@ -573,10 +577,10 @@ def e13_sim_engine(
                     "priced": res.priced_rounds,
                     "within_price": res.within_price,
                     "within_thm11": res.within_thm11,
-                    "stats_equal": legacy_stats == batched_stats,
-                    "t_legacy_ms": t_legacy * 1e3,
-                    "t_batched_ms": t_batched * 1e3,
-                    "speedup": t_legacy / max(t_batched, 1e-9),
+                    "stats_equal": sync_stats == event_stats == res.stats,
+                    "t_sync_ms": t_sync * 1e3,
+                    "t_event_ms": t_event * 1e3,
+                    "speedup": t_sync / max(t_event, 1e-9),
                 }
             )
     return rows

@@ -1,6 +1,6 @@
 """Measured-rounds accounting for the distributed 2-ECSS pipeline.
 
-:class:`MeasuredPrimitives` collects one :class:`~repro.model.network.RunStats`
+:class:`MeasuredPrimitives` collects one :class:`~repro.sim.engine.RunStats`
 per message-level primitive run (MST, labeling, aggregates, gathers, ...)
 and :func:`rounds_vs_model` compares the totals against the Level-M
 :class:`~repro.core.rounds.RoundCostModel` prices — the cross-check that
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.rounds import RoundCostModel
-from repro.model.network import RunStats
+from repro.sim.engine import RunStats
 
 __all__ = [
     "RATIO_BOUND",

@@ -40,7 +40,7 @@ from repro.dist.programs import (
     SubtreeAggregate,
 )
 from repro.exceptions import SimulationError
-from repro.model.network import RunStats
+from repro.sim.engine import RunStats
 from repro.trees.pathops import TreePathOps
 from repro.trees.segtree import INF
 
@@ -59,7 +59,7 @@ class MeasuredOps:
         The :class:`~repro.sim.engine.BatchedNetwork` primitives run on
         (one network for the whole pipeline; state is reset per run).
     measured:
-        The ledger measured :class:`~repro.model.network.RunStats` land in.
+        The ledger measured :class:`~repro.sim.engine.RunStats` land in.
     strict:
         When true (no failure injection) any distributed-vs-reference
         divergence raises :class:`~repro.exceptions.InvariantViolation`;

@@ -5,7 +5,7 @@
 paper charges rounds for executes as a genuine CONGEST program on one
 :class:`~repro.sim.engine.BatchedNetwork` —
 
-1. **MST** — message-level Borůvka (:class:`repro.model.mst.BoruvkaMST`);
+1. **MST** — message-level Borůvka (:class:`repro.sim.mst.BoruvkaMST`);
 2. **LCA labels** (Section 4.1) —
    :class:`~repro.dist.programs.EulerTourLabels`;
 3. **layering** (Section 4.3 / Claim 4.10) — the Horton–Strahler up sweep
@@ -60,8 +60,8 @@ from repro.dist.programs import (
     subtree_size_aggregate,
 )
 from repro.exceptions import SimulationError
-from repro.model.mst import BoruvkaMST
 from repro.sim.engine import BatchedNetwork
+from repro.sim.mst import BoruvkaMST
 
 __all__ = ["DistTwoEcssResult", "distributed_two_ecss"]
 

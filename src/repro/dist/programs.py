@@ -1,8 +1,8 @@
 """Message-level CONGEST programs for the paper's tree building blocks.
 
-Every program here is a genuine :class:`~repro.model.network.NodeProgram`:
+Every program here is a genuine :class:`~repro.sim.engine.NodeProgram`:
 all coordination happens through O(1)-word messages on the simulated
-network, and the engine's measured :class:`~repro.model.network.RunStats`
+network, and the engine's measured :class:`~repro.sim.engine.RunStats`
 are the *truth* against which :class:`~repro.core.rounds.RoundCostModel`
 prices are cross-checked (see :mod:`repro.dist.pipeline`).
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from repro.model.network import Context, Payload
+from repro.sim.engine import Context, Payload
 
 __all__ = [
     "AncestorSumDown",
@@ -138,7 +138,7 @@ class EulerTourLabels:
 class SubtreeAggregate:
     """Generic bottom-up convergecast; every node learns a subtree value.
 
-    Unlike :class:`repro.model.programs.TreeAggregate` (root-only result,
+    Unlike :class:`repro.sim.programs.TreeAggregate` (root-only result,
     payload = accumulator), each node here *finalizes* its accumulator into
     a single word before sending, so non-associative per-node recurrences —
     the layering's Horton–Strahler rule — fit the same program.

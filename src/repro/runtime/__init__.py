@@ -8,7 +8,7 @@ this package separates the two halves so repeated solves on one topology —
 weight reassignments, eps/variant sweeps, failure scenarios — pay for the
 plan once:
 
-* :class:`~repro.runtime.handle.GraphHandle` — immutable CSR-backed
+* :class:`~repro.runtime.handle.GraphHandle` — immutable array-backed
   normalized graph; validation, normalization and diameter are computed
   once per *topology* and shared across ``reweight`` variants;
 * :class:`~repro.runtime.plan.SolverPlan` — the weight-dependent

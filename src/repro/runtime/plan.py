@@ -119,8 +119,8 @@ class SolverPlan:
     Everything is lazy: a plan used only for its MST never builds virtual
     edges; a reference-only session never builds the numpy arrays.
     ``instance_builds`` counts how many :class:`TAPInstance` constructions
-    actually happened — the reuse tests and the session-reuse benchmark
-    read it to prove work is *not* repeated.
+    actually happened — the reuse tests read it to prove work is *not*
+    repeated.
     """
 
     def __init__(self, handle: GraphHandle) -> None:

@@ -1,30 +1,29 @@
 """The execution-backend registry: one namespace for every way to run a solve.
 
-Before this layer existed, "how do I execute this?" was three unrelated
-string arguments threaded through the codebase:
+Before this layer existed, "how do I execute this?" was unrelated string
+arguments threaded through the codebase:
 
 * ``backend="reference" | "fast" | "auto"`` on the solver entry points
   (which numeric kernels run the phases) — validated ad hoc by
   :func:`repro.fast.resolve_backend`;
 * ``engine="local" | "sim"`` on :func:`repro.analysis.sweep.run_sweep`
   (centralized solver vs the message-level pipeline) — validated by an
-  inline ``if``;
-* ``engine="batched" | "legacy"`` on
-  :class:`repro.sim.runner.ScenarioRunner` (which CONGEST network
-  implementation steps the node programs) — validated by an ``if`` chain.
+  inline ``if``.
 
-This module registers all of them as :class:`BackendSpec` entries under
-three *kinds* — ``"compute"``, ``"engine"``, ``"network"`` — each carrying
-**capability flags** (``vectorized``, ``message-level``,
-``failure-injection``, ``k-ecss``, …) so callers can select by capability
-instead of hard-coding names, and unknown names fail with a one-line error
-listing what *is* registered.  The ``k-ecss`` flag gates the iterated
+This module registers both as :class:`BackendSpec` entries under two
+*kinds* — ``"compute"`` and ``"engine"`` — each carrying **capability
+flags** (``vectorized``, ``message-level``, ``failure-injection``,
+``k-ecss``, …) so callers can select by capability instead of
+hard-coding names, and unknown names fail with a one-line error listing
+what *is* registered.  The ``k-ecss`` flag gates the iterated
 augmentation rounds of :mod:`repro.core.k_ecss`: compute flavors and
 engines carrying it accept ``k > 2`` queries
 (:meth:`repro.runtime.session.SolverSession.solve` rejects ``k > 2`` on
 anything else, e.g. the ``sim`` engine).  :func:`register_backend` is the
 extension point future backends (sharded plans, async serving) plug into;
-the CLI (``python -m repro backends``) prints the live table.
+the CLI (``python -m repro backends``) prints the live table.  The one
+CONGEST network, :class:`repro.sim.engine.BatchedNetwork`, is not a
+registry entry: nothing chooses between networks.
 
 Resolution helpers:
 
@@ -33,14 +32,14 @@ Resolution helpers:
   such as ``"auto"`` and enforcing each spec's ``requires`` hook (e.g.
   numpy for ``"fast"``);
 * :func:`get_backend` / :func:`backend_names` / :func:`registered` — plain
-  lookups, shared by the CLI, the sweep engine, the scenario runner, and
+  lookups, shared by the CLI, the sweep engine and
   :class:`repro.runtime.session.SolverSession`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro.fast import HAVE_NUMPY, require_numpy
 
@@ -56,8 +55,8 @@ __all__ = [
     "resolve_compute",
 ]
 
-#: The registry's namespaces: numeric kernels, solve pipelines, networks.
-KINDS = ("compute", "engine", "network")
+#: The registry's namespaces: numeric kernels and solve pipelines.
+KINDS = ("compute", "engine")
 
 
 class UnknownBackendError(ValueError):
@@ -69,16 +68,14 @@ class UnknownBackendError(ValueError):
 class BackendSpec:
     """One registered execution backend.
 
-    ``kind`` scopes the name (``"compute"``, ``"engine"`` or
-    ``"network"``); ``capabilities`` are free-form flags callers can gate
-    on (the stock ones are documented in :func:`registered` output and
+    ``kind`` scopes the name (``"compute"`` or ``"engine"``);
+    ``capabilities`` are free-form flags callers can gate on (the stock
+    ones are documented in :func:`registered` output and
     ``docs/PAPER_MAP.md``).  ``resolves_to`` makes the entry an *alias*: a
     callable returning the concrete name to resolve next (``"auto"`` uses
     this to pick ``fast`` when numpy is importable).  ``requires`` runs at
     resolution time and raises when the backend cannot execute here
-    (``"fast"`` uses it for the numpy check).  ``factory`` is the
-    behavior hook for ``network`` entries: a callable
-    ``(graph, words_per_edge, scheduler, failures) -> network``.
+    (``"fast"`` uses it for the numpy check).
     """
 
     name: str
@@ -87,7 +84,6 @@ class BackendSpec:
     capabilities: frozenset = field(default_factory=frozenset)
     resolves_to: Callable[[], str] | None = None
     requires: Callable[[], object] | None = None
-    factory: Callable | None = None
 
     def has(self, capability: str) -> bool:
         """Whether this backend declares the given capability flag."""
@@ -184,32 +180,6 @@ def resolve_compute(name: str) -> str:
     return spec.name
 
 
-def _make_batched(
-    graph: Any,
-    words_per_edge: int,
-    scheduler: Any = None,
-    failures: Any = None,
-) -> Any:
-    """Factory for the ``batched`` network backend (CSR engine)."""
-    from repro.sim.engine import BatchedNetwork
-
-    return BatchedNetwork(
-        graph, words_per_edge, scheduler=scheduler, failures=failures
-    )
-
-
-def _make_legacy(
-    graph: Any,
-    words_per_edge: int,
-    scheduler: Any = None,
-    failures: Any = None,
-) -> Any:
-    """Factory for the ``legacy`` network backend (per-node oracle loop)."""
-    from repro.model.network import Network
-
-    return Network(graph, words_per_edge)
-
-
 def _register_defaults() -> None:
     """Register the in-tree backends (idempotent at import time)."""
     register_backend(BackendSpec(
@@ -249,25 +219,6 @@ def _register_defaults() -> None:
             "plan-reuse", "batch-queries", "message-level",
             "measured-rounds", "failure-injection",
         }),
-    ))
-    register_backend(BackendSpec(
-        name="batched",
-        kind="network",
-        description="CSR + event-driven scheduler engine (repro.sim)",
-        capabilities=frozenset({
-            "event-driven", "failure-injection", "trace", "csr",
-        }),
-        factory=_make_batched,
-    ))
-    register_backend(BackendSpec(
-        name="legacy",
-        kind="network",
-        description=(
-            "per-node reference loop (repro.model.network), the semantic "
-            "oracle for differential tests"
-        ),
-        capabilities=frozenset({"oracle"}),
-        factory=_make_legacy,
     ))
 
 

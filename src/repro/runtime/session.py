@@ -14,8 +14,7 @@ weight assignment) and exposes:
   order.  Compatible fast-backend scenarios run as one scenario-axis
   kernel pass (:mod:`repro.runtime.batch`); everything else is solved one
   query at a time against the shared plan cache.  The scenario sweeps
-  (:mod:`repro.analysis.sweep`), the serve workers and the session-reuse
-  benchmark drive it.
+  (:mod:`repro.analysis.sweep`) and the serve workers drive it.
 
 **Bit-identity contract.**  A session solve returns exactly what the
 one-shot API returns for the same parameters — same edges, weights, duals,
@@ -44,14 +43,13 @@ from typing import Any, Iterable, Mapping, Sequence
 import networkx as nx
 
 from repro import obs
-from repro.core.instance import TAPInstance
 from repro.core.k_ecss import MAX_K
 from repro.core.tap import assemble_tap_result, solve_virtual_tap
 from repro.core.tecss import assemble_two_ecss
+from repro.exceptions import InvariantViolation
 from repro.runtime.handle import GraphHandle, weights_token
-from repro.runtime.plan import SolverPlan, _links_from_handle
+from repro.runtime.plan import SolverPlan
 from repro.runtime.registry import get_backend, resolve_compute
-from repro.trees.rooted import RootedTree
 
 __all__ = ["SolveQuery", "SolverSession"]
 
@@ -466,27 +464,22 @@ class SolverSession:
         """The centralized solve path over a plan's shared instance.
 
         A given ``fwd`` (the scenario batch's) skips the forward phase.
+        ``simulate_mst`` runs Borůvka message-level and raises
+        :class:`~repro.exceptions.InvariantViolation` if its tree differs
+        from the plan's MST, as the strict dist pipeline does.
         """
         mst_simulation = None
-        tree, mst_edges, inst = plan.tree, plan.mst_edges, None
         if simulate_mst:
-            from repro.model.mst import BoruvkaMST
-            from repro.sim.engine import BatchedNetwork
+            from repro.sim import BatchedNetwork, BoruvkaMST
 
             outcome = BoruvkaMST(BatchedNetwork(plan.g)).run()
-            mst_simulation = outcome.stats
-            if outcome.edges != mst_edges:  # pragma: no cover - unique MST
-                # Provably unreachable (lexicographic tie-break), but if a
-                # Borůvka bug ever produced a different tree, reproduce the
-                # one-shot semantics exactly: solve on *its* tree.
-                tree = RootedTree.from_edges(
-                    plan.handle.n, outcome.edges, root=0
+            if outcome.edges != plan.mst_edges:
+                raise InvariantViolation(
+                    "distributed mst diverged from reference: "
+                    "Boruvka MST differs from the centralized MST"
                 )
-                mst_edges = outcome.edges
-                links = _links_from_handle(plan.handle, set(mst_edges))
-                inst = TAPInstance.from_links(tree, links, backend=flavor)
-        if inst is None:
-            inst = plan.instance(flavor)
+            mst_simulation = outcome.stats
+        inst = plan.instance(flavor)
         with obs.span("solve.tap", backend=flavor):
             fwd, rev = solve_virtual_tap(
                 inst, eps=eps, variant=variant, segmented=segmented,
@@ -500,15 +493,12 @@ class SolverSession:
             # Only validation walks the nx.Graph; every other input is on
             # the plan, so a validate=False solve never materializes the
             # graph — an O(m) build the delta path must not pay per tick.
-            own_mst = mst_edges is plan.mst_edges
             return assemble_two_ecss(
                 plan.g if (validate or simulate_mst) else None,
-                plan.nodes, mst_edges, tap,
+                plan.nodes, plan.mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
-                diameter=plan.diameter,
-                mst_weight=plan.mst_weight if own_mst else None,
-                n=plan.handle.n,
-                mst_edges_out=plan.labeled_mst_edges if own_mst else None,
+                diameter=plan.diameter, mst_weight=plan.mst_weight,
+                n=plan.handle.n, mst_edges_out=plan.labeled_mst_edges,
             )
 
     @staticmethod

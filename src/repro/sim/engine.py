@@ -1,39 +1,52 @@
-"""The batched CONGEST engine: CSR adjacency + event-driven round loop.
+"""The CONGEST engine: the node-program contract, CSR adjacency, round loop.
 
-Semantics are those of :class:`repro.model.network.Network` (the reference
-oracle, kept for differential tests): same :class:`Context` objects, same
-``NodeProgram`` protocol, same :class:`RunStats` fields, same
-:class:`~repro.exceptions.SimulationError` conditions in the same order
-(non-neighbor send, non-tuple payload, non-numeric word, bandwidth budget).
-What changes is the data layout and the scheduling:
+The paper's model (Section 2): communication proceeds in synchronous
+rounds, and per round each vertex may send ``O(log n)`` bits over each
+incident edge.  A :class:`NodeProgram` is instantiated per run and driven
+round by round:
+
+* ``setup(ctx)`` is called once per node before round 1;
+* ``step(ctx, inbox) -> outbox`` is called with the messages delivered this
+  round (``inbox``: neighbor -> payload) and returns the messages to send
+  (``outbox``: neighbor -> payload);
+* ``wants_to_continue(ctx)`` keeps a silent node scheduled.
+
+Payloads are tuples of numbers measured in *words* (one word = one
+``O(log n)``-bit number); a send over the per-edge budget raises
+:class:`~repro.exceptions.SimulationError`, as do a send to a non-neighbor,
+a non-tuple payload and a non-numeric word, checked in that order.  The
+network runs until global quiescence (no message sent and no node asks to
+continue) or ``max_rounds``, and reports measured :class:`RunStats`.
+
+:class:`BatchedNetwork` lays the network out for speed:
 
 * adjacency is built once into CSR arrays (``indptr``/``indices``/
   ``weights``; numpy-backed when numpy is importable, list-backed
-  otherwise) instead of being re-queried from networkx;
+  otherwise);
 * inbox dicts are double-buffered per node: sends are written straight
   into the back buffer during the step loop (no staging list, no n fresh
   dicts per round) and the buffers swap at the round edge;
 * the scheduler picks which nodes to step: the default
   :class:`~repro.sim.schedulers.EventDrivenScheduler` steps only nodes
   that received a message or asked to continue, so idle regions of the
-  graph cost nothing — this is where the order-of-magnitude speedup over
-  the legacy per-node loop comes from.
+  graph cost nothing, while
+  :class:`~repro.sim.schedulers.SynchronousScheduler` steps every node
+  every round.
 
 Word checks run through a fast-path type set (``int``/``float``/``bool``)
 with an ``isinstance(x, numbers.Number)`` fallback, so numpy scalars and
-other exotic numerics are accepted exactly as the legacy engine accepts
-them.
+other exotic numerics are accepted as words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Number
+from typing import Mapping, Protocol
 
 import networkx as nx
 
 from repro.exceptions import SimulationError
-from repro.model.network import Context, NodeProgram, Payload, RunStats
 from repro.sim.failures import FailurePlan
 from repro.sim.schedulers import resolve_scheduler
 
@@ -42,9 +55,65 @@ try:  # optional fast path: compact arrays for the CSR adjacency
 except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
 
-__all__ = ["BatchedNetwork", "RoundRecord"]
+__all__ = [
+    "BatchedNetwork",
+    "Context",
+    "NodeProgram",
+    "Payload",
+    "RoundRecord",
+    "RunStats",
+]
+
+Payload = tuple
 
 _FAST_WORD_TYPES = frozenset((int, float, bool))
+
+
+@dataclass
+class Context:
+    """What a node is allowed to know locally (Section 2 of the paper)."""
+
+    node: int
+    neighbors: tuple[int, ...]
+    edge_weights: Mapping[int, float]
+    n: int
+
+    # Scratch space for the program's per-node state.
+    state: dict = field(default_factory=dict)
+
+
+class NodeProgram(Protocol):  # pragma: no cover - structural type only
+    """The per-run node program a network drives round by round."""
+
+    def setup(self, ctx: Context) -> None:
+        """Initialize ``ctx.state`` once, before round 1."""
+
+    def step(self, ctx: Context, inbox: dict[int, Payload]) -> dict[int, Payload]:
+        """Consume this round's inbox and return the outbox to send."""
+
+    def wants_to_continue(self, ctx: Context) -> bool:
+        """Whether the node must be stepped again even without mail."""
+
+
+@dataclass
+class RunStats:
+    """Measured statistics of one ``run``: counted rounds, messages sent,
+    the widest payload, quiescence, and the number of messages lost to
+    failure injection in *this* run."""
+
+    rounds: int = 0
+    messages: int = 0
+    max_words: int = 0
+    quiescent: bool = False
+    dropped: int = 0
+
+    def merge(self, other: "RunStats") -> None:
+        """Fold a later phase's stats into this one (phases run back to back)."""
+        self.rounds += other.rounds
+        self.messages += other.messages
+        self.max_words = max(self.max_words, other.max_words)
+        self.quiescent = other.quiescent
+        self.dropped += other.dropped
 
 
 @dataclass
@@ -62,11 +131,10 @@ class RoundRecord:
 class BatchedNetwork:
     """A CONGEST network over an undirected weighted graph (0..n-1 nodes).
 
-    Drop-in replacement for :class:`repro.model.network.Network`: exposes
-    the same ``graph``/``n``/``words_per_edge``/``contexts`` attributes and
-    the same ``run``/``reset_state`` methods, so program helpers like
-    ``DistributedBFS.results(net)`` and :class:`repro.model.mst.BoruvkaMST`
-    work unchanged.
+    Programs and their helpers (``DistributedBFS.results(net)``,
+    :class:`~repro.sim.mst.BoruvkaMST`) read the ``graph``/``n``/
+    ``words_per_edge``/``contexts`` attributes; ``run`` and
+    ``reset_state`` drive them.
 
     Parameters
     ----------
@@ -140,16 +208,10 @@ class BatchedNetwork:
         self._inboxes: list[dict[int, Payload]] = [{} for _ in range(self.n)]
         self._inboxes_back: list[dict[int, Payload]] = [{} for _ in range(self.n)]
 
-    # -- mirrors of the legacy API ----------------------------------------
-
     def reset_state(self) -> None:
         """Clear every node's program state (contexts are reused across runs)."""
         for ctx in self.contexts:
             ctx.state = {}
-
-    def degree(self, v: int) -> int:
-        """Number of neighbors of node ``v`` (CSR row length)."""
-        return int(self.indptr[v + 1] - self.indptr[v])
 
     def adjacency(self):
         """The raw CSR triple ``(indptr, indices, weights)``."""
@@ -178,9 +240,8 @@ class BatchedNetwork:
     def run(self, program: NodeProgram, max_rounds: int | None = None) -> RunStats:
         """Drive the program to quiescence; returns measured statistics.
 
-        Statistics match the legacy engine field-for-field: ``rounds``
-        counts rounds in which a message was sent or a node asked to
-        continue; the final silent round is uncounted; hitting
+        ``rounds`` counts rounds in which a message was sent or a node
+        asked to continue; the final silent round is uncounted; hitting
         ``max_rounds`` leaves ``quiescent`` false.
         """
         n = self.n
@@ -227,9 +288,9 @@ class BatchedNetwork:
                 ctx = contexts[v]
                 inbox = front[v]
                 out = step(ctx, inbox) or {}
-                # the program may retain the dict it was handed (legacy hands
-                # out fresh dicts every round); give it away unconditionally
-                # so later deliveries never mutate a retained inbox
+                # the program may retain the dict it was handed; give it
+                # away unconditionally so later deliveries never mutate a
+                # retained inbox
                 front[v] = {}
                 stepped += 1
                 if out:

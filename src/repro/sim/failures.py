@@ -5,7 +5,7 @@ endpoints remain neighbors, sends across it are validated against the
 CONGEST bandwidth budget and counted as sent), but messages crossing it in
 a failed round are silently lost.  This matches the classic lossy-CONGEST
 setting where an adversary kills links round by round, and it composes with
-any :class:`~repro.model.network.NodeProgram` without protocol changes —
+any :class:`~repro.sim.engine.NodeProgram` without protocol changes —
 programs observe failures only as missing inbox entries.
 
 Rounds are 1-based and match ``RunStats.rounds``: a message staged while
@@ -35,7 +35,7 @@ class FailurePlan:
     plan can be shared across networks, runs, and
     :class:`~repro.sim.runner.ScenarioRunner` repeats without conflating
     their statistics.  Per-run drop counts live in the measured
-    :class:`~repro.model.network.RunStats` (``stats.dropped``) and on the
+    :class:`~repro.sim.engine.RunStats` (``stats.dropped``) and on the
     engine (``net.dropped``, reset at the start of every ``run``).
     """
 

@@ -25,11 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.exceptions import SimulationError
-from repro.model.network import Network, RunStats
-from repro.model.programs import FloodMin
+from repro.sim.engine import BatchedNetwork, RunStats
+from repro.sim.programs import FloodMin
 
 __all__ = ["BoruvkaMST", "MstOutcome"]
 
@@ -38,6 +36,8 @@ _INF = (float("inf"), -1, -1)
 
 @dataclass
 class MstOutcome:
+    """Borůvka's tree (sorted edges), its weight, phases and measured stats."""
+
     edges: list[tuple[int, int]]
     weight: float
     phases: int
@@ -45,12 +45,13 @@ class MstOutcome:
 
 
 class BoruvkaMST:
-    """Runs Borůvka phases on a :class:`~repro.model.network.Network`."""
+    """Runs Borůvka phases on a :class:`~repro.sim.engine.BatchedNetwork`."""
 
-    def __init__(self, network: Network) -> None:
+    def __init__(self, network: BatchedNetwork) -> None:
         self.network = network
 
     def run(self, max_phases: int | None = None) -> MstOutcome:
+        """Run phases until one fragment spans the graph; measured outcome."""
         net = self.network
         g = net.graph
         n = net.n
@@ -59,6 +60,7 @@ class BoruvkaMST:
         limit = max_phases if max_phases is not None else n.bit_length() + 2
 
         def edge_key(u: int, v: int) -> tuple:
+            """Unique comparison key of edge ``(u, v)``: weight, then ids."""
             return (float(g[u][v]["weight"]), min(u, v), max(u, v))
 
         frag = list(range(n))

@@ -1,7 +1,7 @@
 """ScenarioRunner: sweep graph families × sizes × seeds through the engine.
 
 Each run produces a :class:`ScenarioResult` that pairs the *measured*
-:class:`~repro.model.network.RunStats` with the *priced* rounds of the
+:class:`~repro.sim.engine.RunStats` with the *priced* rounds of the
 Level-M :class:`~repro.core.rounds.RoundCostModel`: the program spec
 declares which paper primitives one run of it corresponds to (e.g. one BFS
 is at most one tree aggregate, Claim 4.5/4.6), the runner builds the
@@ -21,8 +21,8 @@ import networkx as nx
 
 from repro.core.rounds import PrimitiveLog, RoundCostModel
 from repro.graphs.families import make_family_instance
-from repro.model.network import NodeProgram, RunStats
-from repro.model.programs import DistributedBFS, FloodMin
+from repro.sim.engine import BatchedNetwork, NodeProgram, RunStats
+from repro.sim.programs import DistributedBFS, FloodMin
 
 __all__ = ["ProgramSpec", "ScenarioResult", "ScenarioRunner", "default_specs"]
 
@@ -102,17 +102,10 @@ class ScenarioResult:
 class ScenarioRunner:
     """Runs program specs over instances and cross-checks the cost model.
 
-    ``engine`` is the name of a registered *network* backend
-    (:mod:`repro.runtime.registry`: ``"batched"`` — the default CSR
-    engine — or ``"legacy"``, the per-node oracle loop) or any callable
-    ``(graph, words_per_edge) -> network`` — the hook differential tests
-    use to aim the same sweep at the oracle engine.  Unknown names raise
-    a one-line error listing the registered network backends.
-
-    ``failures`` (an immutable :class:`~repro.sim.failures.FailurePlan`)
-    is applied to every network the runner builds, and requires a backend
-    with the ``failure-injection`` capability flag — dropping the plan
-    silently would report a clean run as a lossy one.  This is how the
+    Every instance runs on a fresh
+    :class:`~repro.sim.engine.BatchedNetwork` built with the runner's
+    ``words_per_edge``, ``scheduler`` and ``failures``.  ``failures`` (an
+    immutable :class:`~repro.sim.failures.FailurePlan`) is how the
     dist-layer primitive specs (:func:`repro.dist.specs.dist_specs`) are
     swept under lossy-CONGEST conditions; per-run drop counts land in
     each result's ``stats.dropped``.
@@ -120,37 +113,15 @@ class ScenarioRunner:
 
     def __init__(
         self,
-        engine: str | Callable = "batched",
         words_per_edge: int = 4,
         eps: float = 0.5,
         scheduler=None,
         failures=None,
     ) -> None:
-        if isinstance(engine, str):
-            from repro.runtime.registry import get_backend
-
-            spec = get_backend("network", engine)
-            if failures is not None and not spec.has("failure-injection"):
-                raise ValueError(
-                    f"failure injection requires a network backend with "
-                    f"the 'failure-injection' capability (e.g. 'batched'); "
-                    f"got {engine!r}"
-                )
-            self._make = lambda g, w: spec.factory(
-                g, w, scheduler=scheduler, failures=failures
-            )
-        elif callable(engine):
-            if failures is not None:
-                raise ValueError(
-                    "failure injection requires a registered network "
-                    "backend with the 'failure-injection' capability "
-                    "(e.g. 'batched'); got a bare callable"
-                )
-            self._make = engine
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
         self.words_per_edge = words_per_edge
         self.eps = eps
+        self.scheduler = scheduler
+        self.failures = failures
 
     def run_one(
         self,
@@ -163,12 +134,15 @@ class ScenarioRunner:
         """Run one program spec on one prepared graph and price the rounds.
 
         Missing edge weights default to 1.0; the measured
-        :class:`~repro.model.network.RunStats` are compared against the
+        :class:`~repro.sim.engine.RunStats` are compared against the
         spec's declared primitive price and the Theorem 1.1 bound.
         """
         for _, _, data in graph.edges(data=True):
             data.setdefault("weight", 1.0)
-        net = self._make(graph, self.words_per_edge)
+        net = BatchedNetwork(
+            graph, self.words_per_edge,
+            scheduler=self.scheduler, failures=self.failures,
+        )
         stats = net.run(spec.build(graph), max_rounds=max_rounds)
         diameter = nx.diameter(graph)
         model = RoundCostModel(net.n, diameter)

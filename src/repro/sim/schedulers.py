@@ -4,11 +4,11 @@ A scheduler answers one question per round: *which nodes get a ``step``
 call?*  The engine feeds it the set of nodes ``woken`` by a delivery this
 round and the set whose last ``wants_to_continue`` was true; the scheduler
 returns the node ids to step, in ascending order (ascending order keeps
-inbox dict insertion order identical to the legacy engine, which steps
+inbox dict insertion order identical to synchronous stepping, which steps
 senders ``0..n-1``).
 
-``SynchronousScheduler`` steps everyone — the legacy ``Network`` semantics,
-valid for arbitrary programs.  ``EventDrivenScheduler`` steps only the
+``SynchronousScheduler`` steps everyone — the reference semantics, valid
+for arbitrary programs.  ``EventDrivenScheduler`` steps only the
 woken/continuing nodes, which is bit-for-bit equivalent for event-driven
 programs (see the :mod:`repro.sim` module docstring for the contract) and
 turns idle rounds from O(n) into O(active).
@@ -22,7 +22,7 @@ __all__ = ["SynchronousScheduler", "EventDrivenScheduler", "resolve_scheduler"]
 
 
 class SynchronousScheduler:
-    """Step every node every round (exact legacy-`Network` scheduling)."""
+    """Step every node every round (the reference semantics, any program)."""
 
     name = "sync"
     tracks_activity = False  # the engine may skip woken-set bookkeeping
@@ -39,7 +39,7 @@ class EventDrivenScheduler:
     tracks_activity = True
 
     def select(self, n: int, woken: set[int], continuing: set[int]) -> Iterable[int]:
-        """The woken/continuing nodes, ascending (legacy-identical order)."""
+        """The woken/continuing nodes, ascending (sync-identical order)."""
         if not continuing:
             return sorted(woken)
         if not woken:

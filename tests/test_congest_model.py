@@ -10,17 +10,22 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.graphs import cycle_with_chords, erdos_renyi_2ec, grid_graph
-from repro.model.mst import BoruvkaMST
-from repro.model.network import Context, Network
-from repro.model.programs import DistributedBFS, FloodMin, TreeAggregate, TreeBroadcast
+from repro.sim import (
+    BatchedNetwork,
+    BoruvkaMST,
+    DistributedBFS,
+    FloodMin,
+    TreeAggregate,
+    TreeBroadcast,
+)
 
 from conftest import random_tree, tree_as_networkx
 
 
-def make_network(g: nx.Graph, words: int = 4) -> Network:
+def make_network(g: nx.Graph, words: int = 4) -> BatchedNetwork:
     for u, v, d in g.edges(data=True):
         d.setdefault("weight", 1.0)
-    return Network(g, words_per_edge=words)
+    return BatchedNetwork(g, words_per_edge=words)
 
 
 class TestNetworkMechanics:
@@ -28,7 +33,7 @@ class TestNetworkMechanics:
         g = nx.Graph()
         g.add_edge(0, 5, weight=1.0)
         with pytest.raises(SimulationError):
-            Network(g)
+            BatchedNetwork(g)
 
     def test_bandwidth_enforced(self):
         g = nx.path_graph(3)
@@ -130,7 +135,7 @@ class TestFloodMin:
         for u, v, d in g.edges(data=True):
             d["weight"] = 1.0
         # active edges restricted to the graph's own edges
-        net = Network(g)
+        net = BatchedNetwork(g)
         values = [(7,), (3,), (9,), (2,), (8,), (1,)]
         active = {v: sorted(g.neighbors(v)) for v in g.nodes()}
         net.run(FloodMin(values, active))
@@ -141,7 +146,7 @@ class TestFloodMin:
         g = nx.path_graph(30)
         for u, v, d in g.edges(data=True):
             d["weight"] = 1.0
-        net = Network(g)
+        net = BatchedNetwork(g)
         values = [(v,) for v in range(30)]
         active = {v: sorted(g.neighbors(v)) for v in g.nodes()}
         stats = net.run(FloodMin(values, active))
@@ -154,7 +159,7 @@ class TestTreePrograms:
         g = tree_as_networkx(t)
         for u, v, d in g.edges(data=True):
             d["weight"] = 1.0
-        net = Network(g)
+        net = BatchedNetwork(g)
         stats = net.run(TreeBroadcast(t.parent, t.root, (42,)))
         assert all(v == (42,) for v in TreeBroadcast.results(net))
         assert stats.rounds <= t.height + 2
@@ -164,7 +169,7 @@ class TestTreePrograms:
         g = tree_as_networkx(t)
         for u, v, d in g.edges(data=True):
             d["weight"] = 1.0
-        net = Network(g)
+        net = BatchedNetwork(g)
         inputs = [(float(v),) for v in range(t.n)]
         combine = lambda a, b: (a[0] + b[0],)
         stats = net.run(TreeAggregate(t.parent, t.root, inputs, combine))
@@ -179,7 +184,7 @@ class TestTreePrograms:
             d["weight"] = 1.0
         rng = random.Random(7)
         vals = [rng.randrange(1 << 20) for _ in range(t.n)]
-        net = Network(g)
+        net = BatchedNetwork(g)
         net.run(TreeAggregate(t.parent, t.root, [(v,) for v in vals], lambda a, b: (min(a[0], b[0]),)))
         assert TreeAggregate.result(net, t.root)[0] == min(vals)
         net.reset_state()
@@ -196,7 +201,7 @@ class TestBoruvka:
     ])
     def test_matches_centralized_mst_weight(self, maker):
         g = maker()
-        net = Network(g)
+        net = BatchedNetwork(g)
         out = BoruvkaMST(net).run()
         expected = nx.minimum_spanning_tree(g).size(weight="weight")
         assert out.weight == pytest.approx(expected)
@@ -208,18 +213,18 @@ class TestBoruvka:
 
     def test_phase_bound(self):
         g = erdos_renyi_2ec(64, seed=4)
-        out = BoruvkaMST(Network(g)).run()
+        out = BoruvkaMST(BatchedNetwork(g)).run()
         assert out.phases <= 8  # log2(64) + margin
 
     def test_rounds_recorded(self):
         g = cycle_with_chords(20, 5, seed=5)
-        out = BoruvkaMST(Network(g)).run()
+        out = BoruvkaMST(BatchedNetwork(g)).run()
         assert out.stats.rounds > 0
         assert out.stats.messages > 0
 
     def test_single_node(self):
         g = nx.Graph()
         g.add_node(0)
-        out = BoruvkaMST(Network(g)).run()
+        out = BoruvkaMST(BatchedNetwork(g)).run()
         assert out.edges == []
         assert out.weight == 0

@@ -151,13 +151,6 @@ class TestLossyComposition:
                 "euler_labels", "layering_sweep", "subtree_sizes", "ancestor_sums"
             }
 
-    def test_scenario_runner_rejects_failures_on_non_batched_engines(self):
-        plan = FailurePlan().fail(0, 1)
-        with pytest.raises(ValueError, match="batched"):
-            ScenarioRunner(engine="legacy", failures=plan)
-        with pytest.raises(ValueError, match="batched"):
-            ScenarioRunner(engine=lambda g, w: None, failures=plan)
-
     def test_scenario_runner_dist_specs_under_failures(self):
         graph = make_family_instance("cycle_chords", 24, seed=1)
         plan = random_failure_plan(graph, p=0.3, max_rounds=10, seed=2)

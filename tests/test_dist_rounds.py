@@ -88,7 +88,7 @@ def test_rounds_vs_model_reprices_a_measured_ledger_standalone():
     assert rows[-1]["primitive"] == "TOTAL"
     assert {r["primitive"] for r in rows[:-1]} == set(dist.measured.by_name)
     from repro.dist import MeasuredPrimitives
-    from repro.model.network import RunStats
+    from repro.sim import RunStats
 
     bogus = MeasuredPrimitives()
     bogus.add("teleportation", RunStats(rounds=1))

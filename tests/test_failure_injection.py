@@ -25,11 +25,15 @@ from repro.exceptions import (
     ReproError,
     SimulationError,
 )
-from repro.model.network import Network
-from repro.model.programs import DistributedBFS, FloodMin
 from repro.shortcuts.setcover import parallel_setcover_tap
 from repro.shortcuts.tap_shortcut import shortcut_two_ecss
-from repro.sim import BatchedNetwork, FailurePlan, random_failure_plan
+from repro.sim import (
+    BatchedNetwork,
+    DistributedBFS,
+    FailurePlan,
+    FloodMin,
+    random_failure_plan,
+)
 from repro.trees.rooted import RootedTree
 
 from conftest import random_tap_links, random_tree
@@ -163,13 +167,13 @@ class TestSimulatorInputs:
         g = nx.Graph()
         g.add_edge(0, 7, weight=1.0)
         with pytest.raises(SimulationError):
-            Network(g)
+            BatchedNetwork(g)
 
     def test_string_nodes(self):
         g = nx.Graph()
         g.add_edge("a", "b", weight=1.0)
         with pytest.raises(SimulationError):
-            Network(g)
+            BatchedNetwork(g)
 
 
 def _weighted_path(n):
@@ -302,5 +306,5 @@ class TestFailureInjectionScenarios:
         plan = FailurePlan()
         assert plan.empty()
         stats = BatchedNetwork(g, failures=plan).run(DistributedBFS(0))
-        assert stats == Network(g).run(DistributedBFS(0))
+        assert stats == BatchedNetwork(g, scheduler="sync").run(DistributedBFS(0))
         assert stats.dropped == 0

@@ -170,3 +170,16 @@ class TestBackendsCli:
             assert set(spec) == {
                 "kind", "name", "capabilities", "description", "alias",
             }
+
+
+def test_package_version_has_one_source():
+    # pyproject.toml reads the version from repro.__version__, so the
+    # installed metadata and /healthz cannot disagree.
+    import warnings
+
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+        config = pyproject.read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == repro.__version__

@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.rounds import RoundCostModel
 from repro.graphs import cycle_with_chords, erdos_renyi_2ec, grid_graph
-from repro.model.network import Network
-from repro.model.programs import DistributedBFS, TreeAggregate
+from repro.sim import BatchedNetwork, BoruvkaMST, DistributedBFS, TreeAggregate
 
 
 @pytest.mark.parametrize(
@@ -31,7 +30,7 @@ def test_simulated_aggregate_within_model_price(maker):
     d = nx.diameter(g)
     model = RoundCostModel(n, d)
 
-    net = Network(g)
+    net = BatchedNetwork(g)
     bfs_stats = net.run(DistributedBFS(0))
     _, parent = DistributedBFS.results(net)
     # BFS costs at most ecc(0) + 2 <= D + 2 rounds, well under one aggregate.
@@ -51,12 +50,10 @@ def test_model_price_upper_bounds_boruvka_fragment_work():
     # One Boruvka phase's intra-fragment flood is priced at most like an
     # MST step in the model; the measured full run stays under the
     # Kutten-Peleg-priced MST cost times the phase count.
-    from repro.model.mst import BoruvkaMST
-
     g = erdos_renyi_2ec(60, seed=4)
     d = nx.diameter(g)
     model = RoundCostModel(g.number_of_nodes(), d)
-    out = BoruvkaMST(Network(g)).run()
+    out = BoruvkaMST(BatchedNetwork(g)).run()
     # Boruvka is not Kutten-Peleg; we only require the *shape*: measured
     # rounds within phases * (n-ish flood costs), and phases logarithmic.
     assert out.phases <= 8

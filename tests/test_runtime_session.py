@@ -33,7 +33,7 @@ from repro.runtime import (
     register_backend,
     resolve_compute,
 )
-from repro.runtime.registry import unregister_backend
+from repro.runtime.registry import KINDS, registered_payload, unregister_backend
 from repro.sim.failures import random_failure_plan
 
 COMPUTE_BACKENDS = ["reference"] + (["fast"] if HAVE_NUMPY else [])
@@ -81,7 +81,10 @@ class TestRegistry:
     def test_default_names(self):
         assert set(backend_names("compute")) == {"auto", "fast", "reference"}
         assert set(backend_names("engine")) == {"local", "sim"}
-        assert set(backend_names("network")) == {"batched", "legacy"}
+        # one CONGEST network, nothing to choose: no "network" kind, and
+        # the /backends payload lists compute and engine rows only
+        assert KINDS == ("compute", "engine")
+        assert {spec["kind"] for spec in registered_payload()} == set(KINDS)
 
     def test_unknown_name_is_one_line_listing(self):
         with pytest.raises(UnknownBackendError) as err:
@@ -104,7 +107,6 @@ class TestRegistry:
     def test_capability_flags(self):
         assert get_backend("engine", "sim").has("failure-injection")
         assert not get_backend("engine", "local").has("failure-injection")
-        assert get_backend("network", "batched").has("failure-injection")
         if HAVE_NUMPY:
             assert get_backend("compute", "fast").has("vectorized")
 
@@ -225,16 +227,6 @@ class TestGraphHandle:
         pi = clone2._pair_index
         assert handle._pair_index is pi
         assert clone._pair_index is pi
-
-    def test_csr_is_consistent(self):
-        g = cycle_with_chords(12, 4, seed=5)
-        handle = GraphHandle.from_graph(g)
-        indptr, indices, weights = handle.csr
-        assert int(indptr[-1]) == 2 * handle.m
-        gn = handle.graph
-        for v in range(handle.n):
-            neigh = sorted(int(u) for u in indices[indptr[v]:indptr[v + 1]])
-            assert neigh == sorted(gn.neighbors(v))
 
 
 class TestSolverPlan:
@@ -362,6 +354,35 @@ def test_simulate_mst_matches_one_shot():
     assert got.mst_simulation.rounds == want.mst_simulation.rounds
 
 
+def test_simulate_mst_raises_when_boruvka_disagrees(monkeypatch):
+    # A message-level MST that differs from the plan's is a bug to report,
+    # not a tree to solve on: fail loudly, as the strict dist pipeline does.
+    import dataclasses
+
+    import networkx as nx
+
+    from repro.exceptions import InvariantViolation
+    from repro.sim.mst import BoruvkaMST
+
+    real_run = BoruvkaMST.run
+
+    def other_spanning_tree(self, max_phases=None):
+        out = real_run(self, max_phases)
+        other = sorted(
+            tuple(sorted(e))
+            for e in nx.maximum_spanning_tree(self.network.graph).edges()
+        )
+        assert other != out.edges
+        return dataclasses.replace(out, edges=other)
+
+    monkeypatch.setattr(BoruvkaMST, "run", other_spanning_tree)
+    g = cycle_with_chords(30, 12, seed=7)
+    with pytest.raises(InvariantViolation, match="Boruvka MST differs"):
+        SolverSession(g).solve(eps=0.5, simulate_mst=True)
+    with pytest.raises(InvariantViolation, match="Boruvka MST differs"):
+        approximate_two_ecss(g, eps=0.5, simulate_mst=True)
+
+
 class TestSessionValidation:
     def test_unknown_backend_and_engine(self):
         g = cycle_with_chords(12, 4, seed=1)
@@ -425,18 +446,6 @@ class TestSessionValidation:
 # ---------------------------------------------------------------------------
 
 
-def test_legacy_network_emits_deprecation_warning():
-    import networkx as nx
-
-    from repro.model.network import Network
-
-    g = nx.cycle_graph(4)
-    for _, _, d in g.edges(data=True):
-        d["weight"] = 1.0
-    with pytest.warns(DeprecationWarning, match="BatchedNetwork"):
-        Network(g)
-
-
 def test_cli_unknown_backend_is_one_line_error(capsys, tmp_path):
     from repro.__main__ import main
 
@@ -469,8 +478,7 @@ def test_cli_backends_command(capsys):
 
     assert main(["backends"]) == 0
     out = capsys.readouterr().out
-    for name in ("reference", "fast", "auto", "local", "sim", "batched",
-                 "legacy"):
+    for name in ("reference", "fast", "auto", "local", "sim"):
         assert name in out
     assert "failure-injection" in out
 

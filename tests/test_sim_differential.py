@@ -1,38 +1,52 @@
-"""Differential tests: the batched engine against the legacy oracle.
+"""Differential tests: the batched engine against frozen reference outputs.
 
-The legacy :class:`repro.model.network.Network` is the reference semantics;
-``repro.sim.BatchedNetwork`` must reproduce its :class:`RunStats`
-bit-for-bit — under both the synchronous scheduler (same stepping) and the
-event-driven scheduler (skips idle nodes) — on seeded random programs over
-random graph families, on every built-in program, and through the Borůvka
-MST driver.  A final timing test pins the point of the whole exercise: the
-event-driven engine beats the per-node loop by ≥3× on a 2000+-node grid.
+Through version 1.8 the repo kept a second CONGEST engine, a per-node loop
+that stepped every node every round.  It was the reference semantics
+:class:`repro.sim.BatchedNetwork` was built to reproduce, and its outputs
+on every case below are frozen in ``tests/data/sim_legacy_outputs.json``:
+``RunStats``, final node states (RNGs stripped), the gossip fingerprint and
+Borůvka's tree.  The file was written by :func:`record` with that engine at
+commit ``54a899f``; CHANGES.md has the command.
+
+Each case must reproduce the frozen outputs under both schedulers, after
+the same JSON round trip on both sides, and the event-driven scheduler must
+equal the synchronous one live.  The sync scheduler steps every node every
+round and is valid for any program, so it stays the live oracle: a
+hypothesis test extends the live comparison to drawn graphs, gossip
+parameters and failure plans, and a timing test pins the point of the
+event-driven scheduler, ≥3× over every-node stepping on a 2000+-node grid.
+
+Cases take the network factory and the namespace providing the programs
+(``repro.sim`` here), so the same table generated the fixture.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import json
+import os
 import time
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.sim as sim
 from repro.graphs import (
     cycle_with_chords,
     erdos_renyi_2ec,
     grid_graph,
     hub_and_cycle,
 )
-from repro.model.mst import BoruvkaMST
-from repro.model.network import Network
-from repro.model.programs import (
-    DistributedBFS,
-    FloodMin,
-    TreeAggregate,
-    TreeBroadcast,
-)
-from repro.sim import BatchedNetwork, RandomGossip
+from repro.graphs.families import FAMILIES, make_family_instance
+from repro.sim import BatchedNetwork, random_failure_plan
 
 from conftest import random_tree, tree_as_networkx
+
+FIXTURE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "sim_legacy_outputs.json"
+)
 
 GRAPH_MAKERS = {
     "cycle_chords": lambda seed: cycle_with_chords(40, 15, seed=seed),
@@ -50,21 +64,111 @@ def _weighted(g: nx.Graph) -> nx.Graph:
     return g
 
 
-def run_three_ways(g: nx.Graph, make_program):
-    """(legacy, batched-event, batched-sync) stats + node fingerprints."""
-    outs = []
-    for net in (
-        Network(g),
-        BatchedNetwork(g),
-        BatchedNetwork(g, scheduler="sync"),
-    ):
-        stats = net.run(make_program())
-        outs.append((stats, [dict(c.state) for c in net.contexts]))
-    return outs
+def _states(net) -> list[dict]:
+    """Final per-node program states, RNG objects stripped."""
+    return [
+        {k: v for k, v in c.state.items() if k != "rng"} for c in net.contexts
+    ]
 
 
-def _strip_rngs(states):
-    return [{k: v for k, v in st.items() if k != "rng"} for st in states]
+def _run(make_net, graph: nx.Graph, program) -> dict:
+    net = make_net(_weighted(graph))
+    stats = net.run(program)
+    return {"stats": dataclasses.asdict(stats), "states": _states(net)}
+
+
+def _gossip(make_net, lib, family: str, seed: int) -> dict:
+    return _run(make_net, GRAPH_MAKERS[family](seed), lib.RandomGossip(seed=100 + seed))
+
+
+def _gossip_fingerprint(make_net, lib) -> dict:
+    net = make_net(_weighted(erdos_renyi_2ec(45, seed=9)))
+    net.run(lib.RandomGossip(seed=5))
+    return {"results": lib.RandomGossip.results(net)}
+
+
+def _bfs(make_net, lib, seed: int) -> dict:
+    return _run(make_net, erdos_renyi_2ec(40, seed=seed), lib.DistributedBFS(0))
+
+
+def _flood_min(make_net, lib) -> dict:
+    g = _weighted(cycle_with_chords(30, 8, seed=3))
+    active = {v: sorted(g.neighbors(v)) for v in g.nodes()}
+    values = [((v * 7) % 13, v) for v in range(g.number_of_nodes())]
+    return _run(make_net, g, lib.FloodMin(values, active))
+
+
+def _tree_broadcast(make_net, lib) -> dict:
+    t = random_tree(45, seed=8)
+    program = lib.TreeBroadcast(t.parent, t.root, (17,))
+    return _run(make_net, tree_as_networkx(t), program)
+
+
+def _tree_aggregate(make_net, lib) -> dict:
+    t = random_tree(45, seed=8)
+    program = lib.TreeAggregate(
+        t.parent, t.root, [(1.0,)] * t.n, lambda a, b: (a[0] + b[0],)
+    )
+    return _run(make_net, tree_as_networkx(t), program)
+
+
+def _boruvka(make_net, lib, seed: int) -> dict:
+    out = lib.BoruvkaMST(make_net(cycle_with_chords(30, 12, seed=seed))).run()
+    return {
+        "edges": out.edges,
+        "weight": out.weight,
+        "phases": out.phases,
+        "stats": dataclasses.asdict(out.stats),
+    }
+
+
+#: case id -> ``(make_net, lib) -> outputs``; the fixture holds one entry each.
+CASES = {
+    **{
+        f"gossip/{family}/{seed}": functools.partial(_gossip, family=family, seed=seed)
+        for family in sorted(GRAPH_MAKERS)
+        for seed in (1, 2, 3, 4)
+    },
+    "gossip_fingerprint": _gossip_fingerprint,
+    **{f"bfs/{seed}": functools.partial(_bfs, seed=seed) for seed in (1, 2)},
+    "flood_min": _flood_min,
+    "tree_broadcast": _tree_broadcast,
+    "tree_aggregate": _tree_aggregate,
+    **{f"boruvka/{seed}": functools.partial(_boruvka, seed=seed) for seed in (1, 2)},
+}
+
+
+def _roundtrip(outputs: dict) -> dict:
+    return json.loads(json.dumps(outputs))
+
+
+def record(make_net, lib) -> dict:
+    """Every case's outputs on one engine, JSON round-tripped (the fixture)."""
+    return {case: _roundtrip(run(make_net, lib)) for case, run in CASES.items()}
+
+
+@functools.cache
+def _frozen() -> dict:
+    with open(FIXTURE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _sync(g: nx.Graph) -> BatchedNetwork:
+    return BatchedNetwork(g, scheduler="sync")
+
+
+def _check(case: str) -> dict:
+    """Run one case under both schedulers against each other and the fixture."""
+    event = CASES[case](BatchedNetwork, sim)
+    sync = CASES[case](_sync, sim)
+    assert event == sync
+    assert _roundtrip(event) == _frozen()[case]
+    assert _roundtrip(sync) == _frozen()[case]
+    return event
+
+
+def test_fixture_covers_every_case():
+    assert sorted(_frozen()) == sorted(CASES)
 
 
 class TestRandomGossipDifferential:
@@ -73,86 +177,86 @@ class TestRandomGossipDifferential:
     @pytest.mark.parametrize("family", sorted(GRAPH_MAKERS))
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_identical_stats_and_states(self, family, seed):
-        g = _weighted(GRAPH_MAKERS[family](seed))
-        (s1, st1), (s2, st2), (s3, st3) = run_three_ways(
-            g, lambda: RandomGossip(seed=100 + seed)
-        )
-        assert s1 == s2 == s3
-        assert _strip_rngs(st1) == _strip_rngs(st2) == _strip_rngs(st3)
-        assert s1.messages > 0  # the sweep must exercise real traffic
+        out = _check(f"gossip/{family}/{seed}")
+        assert out["stats"]["messages"] > 0  # the sweep must exercise real traffic
 
     def test_gossip_sees_traffic_fingerprint(self):
-        g = _weighted(erdos_renyi_2ec(45, seed=9))
-        net_a, net_b = Network(g), BatchedNetwork(g)
-        net_a.run(RandomGossip(seed=5))
-        net_b.run(RandomGossip(seed=5))
-        assert RandomGossip.results(net_a) == RandomGossip.results(net_b)
+        _check("gossip_fingerprint")
 
 
 class TestBuiltinProgramsDifferential:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_bfs(self, seed):
-        g = _weighted(erdos_renyi_2ec(40, seed=seed))
-        (s1, st1), (s2, st2), (s3, st3) = run_three_ways(
-            g, lambda: DistributedBFS(0)
-        )
-        assert s1 == s2 == s3
-        assert st1 == st2 == st3
+        _check(f"bfs/{seed}")
 
     def test_flood_min(self):
-        g = _weighted(cycle_with_chords(30, 8, seed=3))
-        active = {v: sorted(g.neighbors(v)) for v in g.nodes()}
-        values = [((v * 7) % 13, v) for v in range(g.number_of_nodes())]
-        (s1, st1), (s2, st2), (s3, st3) = run_three_ways(
-            g, lambda: FloodMin(values, active)
-        )
-        assert s1 == s2 == s3
-        assert st1 == st2 == st3
+        _check("flood_min")
 
     def test_tree_broadcast_and_aggregate(self):
-        t = random_tree(45, seed=8)
-        g = _weighted(tree_as_networkx(t))
-        for make in (
-            lambda: TreeBroadcast(t.parent, t.root, (17,)),
-            lambda: TreeAggregate(
-                t.parent, t.root, [(1.0,)] * t.n, lambda a, b: (a[0] + b[0],)
-            ),
-        ):
-            (s1, st1), (s2, st2), (s3, st3) = run_three_ways(g, make)
-            assert s1 == s2 == s3
-            assert st1 == st2 == st3
+        _check("tree_broadcast")
+        _check("tree_aggregate")
 
 
 class TestBoruvkaDifferential:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_identical_outcome(self, seed):
-        g = cycle_with_chords(30, 12, seed=seed)
-        legacy = BoruvkaMST(Network(g)).run()
-        batched = BoruvkaMST(BatchedNetwork(g)).run()
-        assert legacy.edges == batched.edges
-        assert legacy.weight == pytest.approx(batched.weight)
-        assert legacy.phases == batched.phases
-        assert legacy.stats == batched.stats
+        _check(f"boruvka/{seed}")  # edges, weight, phases and stats
+
+
+class TestDrawnInputs:
+    """The live oracle beyond the fixed cases: event equals sync when drawn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        n=st.integers(6, 60),
+        graph_seed=st.integers(0, 1 << 16),
+        program_seed=st.integers(0, 1 << 16),
+        start_frac=st.floats(0.0, 1.0),
+        ttl=st.integers(0, 8),
+        fanout=st.integers(1, 4),
+        forward_prob=st.floats(0.0, 1.0),
+        with_failures=st.booleans(),
+        p=st.floats(0.05, 0.5),
+    )
+    def test_event_equals_sync(
+        self, family, n, graph_seed, program_seed, start_frac, ttl, fanout,
+        forward_prob, with_failures, p,
+    ):
+        g = make_family_instance(family, n, seed=graph_seed)
+        plan = None
+        if with_failures:
+            plan = random_failure_plan(g, p=p, max_rounds=ttl + 2, seed=graph_seed)
+
+        def run(scheduler):
+            net = BatchedNetwork(g, scheduler=scheduler, failures=plan)
+            program = sim.RandomGossip(
+                program_seed, start_frac=start_frac, ttl=ttl, fanout=fanout,
+                forward_prob=forward_prob,
+            )
+            return net.run(program), _states(net)
+
+        assert run("event") == run("sync")
 
 
 class TestSpeedup:
-    def test_batched_beats_legacy_3x_on_2000_nodes(self):
+    def test_event_beats_sync_3x_on_2000_nodes(self):
         g = grid_graph(45, 45, seed=1)  # 2025 nodes, diameter 88
         assert g.number_of_nodes() >= 2000
 
-        def clock(make_net):
+        def clock(scheduler):
             best, stats = float("inf"), None
             for _ in range(3):  # best-of-3 damps shared-runner timer noise
-                net = make_net()
+                net = BatchedNetwork(g, scheduler=scheduler)
                 t0 = time.perf_counter()
-                stats = net.run(DistributedBFS(0))
+                stats = net.run(sim.DistributedBFS(0))
                 best = min(best, time.perf_counter() - t0)
             return best, stats
 
-        t_batched, s_batched = clock(lambda: BatchedNetwork(g))
-        t_legacy, s_legacy = clock(lambda: Network(g))
-        assert s_legacy == s_batched
-        assert t_legacy >= 3 * t_batched, (
-            f"legacy {t_legacy:.3f}s vs batched {t_batched:.3f}s — "
-            f"only {t_legacy / t_batched:.1f}x"
+        t_event, s_event = clock("event")
+        t_sync, s_sync = clock("sync")
+        assert s_sync == s_event
+        assert t_sync >= 3 * t_event, (
+            f"sync {t_sync:.3f}s vs event {t_event:.3f}s — "
+            f"only {t_sync / t_event:.1f}x"
         )

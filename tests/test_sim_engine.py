@@ -1,7 +1,7 @@
-"""Engine-contract tests for ``repro.sim``: the batched engine must enforce
-the CONGEST budget, reject malformed sends, and truncate at ``max_rounds``
-exactly as the legacy ``Network`` does — same exception type, same message
-shape.  Plus the batched-only surface: traces, schedulers, CSR adjacency.
+"""Engine-contract tests for ``repro.sim``: under both schedulers the engine
+must enforce the CONGEST budget, reject malformed sends, and truncate at
+``max_rounds`` — same exception type, same message shape.  Plus the rest of
+the engine surface: traces, schedulers, CSR adjacency.
 """
 
 from __future__ import annotations
@@ -11,18 +11,17 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.graphs import cycle_with_chords, grid_graph
-from repro.model.network import Network
-from repro.model.programs import DistributedBFS
 from repro.sim import (
     BatchedNetwork,
+    DistributedBFS,
     EventDrivenScheduler,
     RandomGossip,
     SynchronousScheduler,
 )
 from repro.sim.schedulers import resolve_scheduler
 
-ENGINES = [Network, BatchedNetwork, lambda g, **kw: BatchedNetwork(g, scheduler="sync", **kw)]
-ENGINE_IDS = ["legacy", "batched-event", "batched-sync"]
+ENGINES = [BatchedNetwork, lambda g, **kw: BatchedNetwork(g, scheduler="sync", **kw)]
+ENGINE_IDS = ["batched-event", "batched-sync"]
 
 
 def _weighted(g: nx.Graph) -> nx.Graph:
@@ -111,7 +110,7 @@ class TestBudgetEnforcementParity:
 
     def test_quiescence_uncounted_final_round(self, engine):
         # ticks=3: the step that zeroes the counter happens in an uncounted
-        # silent round, so only 2 rounds are billed — in both engines
+        # silent round, so only 2 rounds are billed — under both schedulers
         net = engine(_weighted(nx.path_graph(4)))
         stats = net.run(_Ticker(ticks=3))
         assert stats.rounds == 2
@@ -143,8 +142,7 @@ class TestBatchedSurface:
 
     def test_retained_inbox_never_mutated(self):
         # a program that stashes the (possibly empty) inbox dict it was
-        # handed must never see the engine write later deliveries into it —
-        # the legacy engine hands out fresh dicts every round
+        # handed must never see the engine write later deliveries into it
 
         class Hoarder:
             def setup(self, ctx):
@@ -161,8 +159,8 @@ class TestBatchedSurface:
             def wants_to_continue(self, ctx):
                 return False
 
-        for make in (Network, BatchedNetwork):
-            net = make(_weighted(nx.path_graph(4)))
+        for scheduler in ("event", "sync"):
+            net = BatchedNetwork(_weighted(nx.path_graph(4)), scheduler=scheduler)
             net.run(Hoarder())
             assert [c.state["kept"] for c in net.contexts] == [{}] * 4
 
@@ -174,7 +172,7 @@ class TestBatchedSurface:
         net.run(DistributedBFS(0), max_rounds=2)
         net.reset_state()
         stats = net.run(DistributedBFS(0))
-        oracle = Network(g).run(DistributedBFS(0))
+        oracle = BatchedNetwork(g, scheduler="sync").run(DistributedBFS(0))
         assert stats == oracle
 
     def test_csr_adjacency_matches_graph(self):
@@ -183,7 +181,7 @@ class TestBatchedSurface:
         indptr, indices, weights = net.adjacency()
         for v in g.nodes():
             lo, hi = int(indptr[v]), int(indptr[v + 1])
-            assert net.degree(v) == g.degree(v) == hi - lo
+            assert g.degree(v) == hi - lo
             row = [int(u) for u in indices[lo:hi]]
             assert row == sorted(g.neighbors(v))
             for u, w in zip(row, weights[lo:hi]):

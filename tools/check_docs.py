@@ -1,9 +1,14 @@
-"""Documentation gate: docs/ link resolution + docstring presence.
+"""Documentation gate: links, dotted references, docstring presence.
 
-Two checks, both dependency-free so they run in any environment:
+Three checks, all dependency-free so they run in any environment:
 
 * :func:`check_links` — every relative markdown link/image in ``docs/*.md``
   and ``README.md`` must resolve to an existing file in the repo;
+* :func:`check_references` — every dotted ``repro.…`` reference in
+  ``README.md``, ``docs/*.md`` and ``src/repro`` must name an existing
+  module, and the first name after the module must be defined at that
+  module's top level (``CHANGES.md`` and ``ROADMAP.md`` record history
+  and stay out of scope);
 * :func:`check_docstrings` — every module, public class, and public
   function/method under the given source trees must carry a docstring
   (the D100–D104 subset of pydocstyle, re-implemented here so the check
@@ -40,7 +45,12 @@ DOCSTRING_TREES = (
 #: Markdown files whose links must resolve.
 LINKED_DOCS = ("README.md", "docs")
 
+#: Files and trees whose dotted ``repro.…`` references must resolve.
+REFERENCE_SOURCES = ("README.md", "docs", "src/repro")
+
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
+
+_DOTTED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def _repo_root() -> str:
@@ -78,6 +88,98 @@ def check_links(root: str | None = None) -> list[str]:
                 errors.append(
                     f"{os.path.relpath(md, root)}: broken link -> {target}"
                 )
+    return errors
+
+
+def _reference_files(root: str) -> list[str]:
+    """Markdown and Python files under :data:`REFERENCE_SOURCES`, sorted."""
+    files: list[str] = []
+    for entry in REFERENCE_SOURCES:
+        path = os.path.join(root, entry)
+        if os.path.isfile(path):
+            files.append(path)
+            continue
+        for dirpath, _, filenames in os.walk(path):
+            files.extend(
+                os.path.join(dirpath, f)
+                for f in filenames
+                if f.endswith((".md", ".py"))
+            )
+    return sorted(files)
+
+
+def _module_file(root: str, parts: list[str]) -> str | None:
+    """The source file of module ``parts`` under ``src/``, if it exists."""
+    base = os.path.join(root, "src", *parts)
+    for candidate in (base + ".py", os.path.join(base, "__init__.py")):
+        if os.path.isfile(candidate):
+            return candidate
+    return None
+
+
+def _bound_names(target: ast.AST) -> set[str]:
+    """Names an assignment target binds (tuple targets unpacked)."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*(_bound_names(t) for t in target.elts))
+    return set()
+
+
+def _top_level_names(path: str) -> set[str]:
+    """Names a module binds at its top level, including inside if/try."""
+    with open(path, encoding="utf-8") as fh:
+        body = list(ast.parse(fh.read(), filename=path).body)
+    names: set[str] = set()
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names |= _bound_names(target)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            names |= _bound_names(node.target)
+        elif isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            body.extend(getattr(node, "body", []))
+            body.extend(getattr(node, "orelse", []))
+            body.extend(getattr(node, "finalbody", []))
+            for handler in getattr(node, "handlers", []):
+                body.extend(handler.body)
+    return names
+
+
+def check_references(root: str | None = None) -> list[str]:
+    """Return one error per dotted ``repro.…`` reference that does not resolve."""
+    root = root or _repo_root()
+    errors: list[str] = []
+    names_of: dict[str, set[str]] = {}
+    for path in _reference_files(root):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for match in _DOTTED.finditer(line):
+                parts = match.group(0).split(".")
+                depth = max(
+                    i for i in range(1, len(parts) + 1)
+                    if _module_file(root, parts[:i]) is not None
+                )
+                if depth == len(parts):
+                    continue
+                module = _module_file(root, parts[:depth])
+                if module not in names_of:
+                    names_of[module] = _top_level_names(module)
+                if parts[depth] not in names_of[module]:
+                    errors.append(
+                        f"{rel}:{lineno}: {match.group(0)} does not resolve: "
+                        f"no module or top-level name {parts[depth]!r} in "
+                        f"{'.'.join(parts[:depth])}"
+                    )
     return errors
 
 
@@ -121,14 +223,17 @@ def check_docstrings(
 
 
 def main() -> int:
-    """Run both checks and report; non-zero exit on any finding."""
-    errors = check_links() + check_docstrings()
+    """Run every check and report; non-zero exit on any finding."""
+    errors = check_links() + check_references() + check_docstrings()
     for err in errors:
         print(f"check_docs: {err}")
     if errors:
         print(f"check_docs: {len(errors)} issue(s)")
         return 1
-    print("check_docs: OK (links resolve, docstrings present)")
+    print(
+        "check_docs: OK (links resolve, dotted references resolve, "
+        "docstrings present)"
+    )
     return 0
 
 
