@@ -46,7 +46,6 @@ __all__ = [
     "batch_lca",
     "build_lift_table",
     "depth_levels",
-    "min_weight_crossing",
     "path_chmin",
     "path_cover_counts",
     "subtree_counts",
@@ -144,28 +143,6 @@ def subtree_counts(tin, tout, delta):
     arr[tin] = delta.reshape(-1)
     pref = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(arr)))
     return (pref[tout] - pref[tin]).reshape(delta.shape)
-
-
-def min_weight_crossing(tin, tout, a, b, weights, cut_child):
-    """Lex-min ``(weight, position)`` edge crossing a one-edge tree cut.
-
-    ``(a[i], b[i], weights[i])`` describe candidate edges; the cut
-    separates the subtree rooted at ``cut_child`` from the rest, so edge
-    ``i`` crosses iff exactly one endpoint lies in the subtree (the Euler
-    membership test ``tin[c] <= tin[x] < tout[c]``).  Returns the position
-    ``i`` of the crossing edge minimizing ``(weights[i], i)`` — ``argmin``
-    returns the *first* minimal weight, which is exactly the stable
-    tie-break of Kruskal's sorted order — or ``-1`` when nothing crosses.
-    Used by the swap-edge MST maintenance of :mod:`repro.runtime.delta`.
-    """
-    np = _numpy()
-    lo, hi = tin[cut_child], tout[cut_child]
-    ta, tb = tin[a], tin[b]
-    mask = ((lo <= ta) & (ta < hi)) != ((lo <= tb) & (tb < hi))
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return -1
-    return int(idx[np.argmin(weights[idx])])
 
 
 def path_cover_counts(tin, tout, dec, anc, n):

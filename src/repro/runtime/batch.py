@@ -10,9 +10,8 @@ the session's base weights:
 
 1. **Plans** — a column equal to the base solves on the pinned base
    plan; any other records its exact diff as delta lineage and gets its
-   plan from :meth:`~repro.runtime.plan.SolverPlan.from_delta` under the
-   session's ``delta_max_fraction`` / ``delta_max_swaps``, so a plan
-   whose MST is the base's shares the base's tree, layering, HLD,
+   plan from :meth:`~repro.runtime.plan.SolverPlan.from_delta`, so a
+   plan whose MST is the base's shares the base's tree, layering, HLD,
    segments, kernel arrays and labeled MST.  Batch plans stay out of the
    plan LRU and the ``delta_*`` counters.
 2. **Tree groups** — scenarios are grouped by the tree their fast
@@ -74,11 +73,7 @@ def _scenario_plan(
     # The batch's own reweight clone takes reweight_delta's lineage.
     handle.delta_base = base
     handle.delta_changes = {i: weights[i] for i in diff}
-    return SolverPlan.from_delta(
-        session.base_plan(), handle,
-        max_fraction=session.delta_max_fraction,
-        max_swaps=session.delta_max_swaps,
-    )
+    return SolverPlan.from_delta(session.base_plan(), handle)
 
 
 def solve_scenario_group(

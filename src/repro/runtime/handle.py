@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import networkx as nx
 
@@ -38,11 +38,6 @@ from repro.graphs.validation import (
     ensure_weights,
     normalize_graph,
 )
-
-try:  # numpy is optional project-wide; only the delta path's arrays need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image bakes numpy in
-    _np = None
 
 __all__ = ["GraphHandle", "weights_token"]
 
@@ -55,11 +50,6 @@ def _canonical_weight(w: Any) -> Any:
     are genuinely different weight columns.
     """
     return 0.0 if isinstance(w, float) and w == 0.0 else w
-
-
-def _weights_float_exact(weights: Iterable) -> bool:
-    """Can every weight be compared exactly after a float64 cast?"""
-    return all(isinstance(w, float) or abs(w) <= 1 << 53 for w in weights)
 
 
 def weights_token(weights: Any) -> tuple:
@@ -104,13 +94,12 @@ class GraphHandle:
         self.edges = edges  # normalized (u, v) pairs, input iteration order
         self.weights = weights
         self._topology_key = topology_key
-        #: Topology-derived caches (:attr:`diameter`, :attr:`_pair_index`,
-        #: :attr:`_endpoint_arrays`), shared *by reference* with every
-        #: :meth:`reweight` clone: whichever handle computes one first,
-        #: all handles on the topology see it.  (Copying computed entries
-        #: at clone time instead would lose work computed on a clone
-        #: afterwards — a 100-scenario sweep would re-derive the diameter
-        #: per scenario.)
+        #: Topology-derived caches (:attr:`diameter`, :attr:`_pair_index`),
+        #: shared *by reference* with every :meth:`reweight` clone:
+        #: whichever handle computes one first, all handles on the
+        #: topology see it.  (Copying computed entries at clone time
+        #: instead would lose work computed on a clone afterwards — a
+        #: 100-scenario sweep would re-derive the diameter per scenario.)
         self._shared: dict[str, Any] = {}
         #: For handles built by :meth:`reweight_delta`: the parent handle
         #: and the effective diff ``{edge_position: new_weight}``.  ``None``
@@ -378,32 +367,6 @@ class GraphHandle:
         for (u, v), w in zip(self.edges, self.weights):
             g.add_edge(u, v, weight=w)
         return g
-
-    @property
-    def _endpoint_arrays(self) -> tuple[Any, Any]:
-        """``(a, b)`` int64 endpoint columns over handle edge order.
-
-        Topology-only (shared by reference across reweights via
-        :attr:`_shared`); consumed by the swap-edge maintenance of
-        :mod:`repro.runtime.delta`.  Requires numpy — callers gate on its
-        availability.
-        """
-        arrays = self._shared.get("endpoint_arrays")
-        if arrays is None:
-            m = len(self.edges)
-            arrays = (
-                _np.fromiter((e[0] for e in self.edges), dtype=_np.int64,
-                             count=m),
-                _np.fromiter((e[1] for e in self.edges), dtype=_np.int64,
-                             count=m),
-            )
-            self._shared["endpoint_arrays"] = arrays
-        return arrays
-
-    @cached_property
-    def _float_exact(self) -> bool:
-        """:func:`_weights_float_exact` of the column, once per handle."""
-        return _weights_float_exact(self.weights)
 
     @property
     def diameter(self) -> int:

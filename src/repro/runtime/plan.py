@@ -43,7 +43,7 @@ needs to inject state (the measured-ops facade of
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import networkx as nx
 
@@ -77,16 +77,18 @@ def _links_from_handle(
 def _links_from_parent(
     parent: "SolverPlan",
     handle: GraphHandle,
-    swaps: "Iterable[tuple[tuple[int, int], tuple[int, int]]]",
+    left: list[tuple[int, int]],
+    entered: list[tuple[int, int]],
 ) -> list[tuple[int, int, float]]:
-    """``parent.links`` patched to the child's weights and swapped edges.
+    """``parent.links`` patched to the child's weights and MST.
 
     Links are the handle's edges minus the tree edges, in edge-iteration
-    order — so a ``k``-edge diff with ``s`` swaps turns the parent's list
-    into the child's with ``k`` weight patches, ``s`` deletions (edges
-    that entered the tree) and ``s`` ordered insertions (edges that left
-    it), instead of an O(m) re-filter.  Output is tuple-for-tuple what
-    :func:`_links_from_handle` builds on the child handle.
+    order — so a ``k``-edge diff that moves ``s`` MST edges turns the
+    parent's list into the child's with ``k`` weight patches, ``s``
+    deletions (``entered``: edges that entered the tree) and ``s`` ordered
+    insertions (``left``: edges that left it), instead of an O(m)
+    re-filter.  Output is tuple-for-tuple what :func:`_links_from_handle`
+    builds on the child handle.
     """
     from bisect import bisect_left
 
@@ -100,15 +102,14 @@ def _links_from_parent(
         at = link_pos.get(key)
         if at is not None:
             links[at] = (key[0], key[1], float(w))
-    for outkey, inkey in swaps:
-        at = bisect_left(positions, pair_index[inkey])
+    for key in entered:
+        at = bisect_left(positions, pair_index[key])
         del links[at]
         del positions[at]
-        pos = pair_index[outkey]
+    for key in left:
+        pos = pair_index[key]
         at = bisect_left(positions, pos)
-        links.insert(
-            at, (outkey[0], outkey[1], float(handle.weights[pos]))
-        )
+        links.insert(at, (key[0], key[1], float(handle.weights[pos])))
         positions.insert(at, pos)
     return links
 
@@ -129,17 +130,18 @@ class SolverPlan:
         self.instance_builds = 0
         #: Wall-clock seconds spent building each artifact, keyed by phase
         #: name (``mst``, ``links``, ``diameter``, ``instance:<flavor>``).
-        #: Delta-derived plans use ``<phase>:delta`` keys so the savings
-        #: are visible side by side with full builds in ``stats()`` and
-        #: ``/metrics``.  Lazily-built artifacts record exactly one entry
-        #: on first use;
+        #: Delta-derived plans book the links and instances they derive
+        #: from their parent under ``links:delta`` and
+        #: ``instance:<flavor>:delta``, so the savings are visible side by
+        #: side with full builds in ``stats()`` and ``/metrics``.
+        #: Lazily-built artifacts record exactly one entry on first use;
         #: :meth:`repro.runtime.session.SolverSession.stats` aggregates
         #: these across the plan LRU (evicted plans included).
         self.build_times: dict[str, float] = {}
-        #: For plans built by :meth:`from_delta`: how the diff was applied
-        #: (``mode`` is ``reused`` / ``swapped`` / ``fallback``, plus
-        #: ``changed`` / ``swaps`` counts and a fallback ``reason``).
-        #: ``None`` for plans built from scratch.
+        #: For plans built by :meth:`from_delta`: ``changed`` (diff size),
+        #: ``swaps`` (edges that left the MST) and ``mode`` (``reused``
+        #: when the MST is the parent's, else ``swapped``).  ``None`` for
+        #: plans built from scratch.
         self.delta_info: dict | None = None
         self._links_builder = None
         self._delta_parent: SolverPlan | None = None
@@ -174,34 +176,33 @@ class SolverPlan:
         cls,
         parent: "SolverPlan",
         handle: GraphHandle,
-        max_fraction: float = 0.05,
-        max_swaps: int | None = None,
+        max_fraction: object = None,
+        max_swaps: object = None,
     ) -> "SolverPlan":
         """Derive a plan for a :meth:`GraphHandle.reweight_delta` handle.
 
-        Instead of rebuilding every weight-dependent artifact, the diff is
-        replayed over ``parent``'s MST with the swap rules of
-        :mod:`repro.runtime.delta`; what survives depends on what changed:
+        The one MST builder runs on the child's column (booked under
+        ``mst``), and what the plan takes from ``parent`` depends on
+        whether that MST is the parent's (:meth:`_mst_parent`):
 
-        * **tree unchanged** (no swap fired) — the parent's rooted tree,
-          layering, segments, HLD and kernel tree-arrays are shared
-          object-for-object; only the weight columns are patched
-          (``mst:delta`` / ``links:delta`` / ``instance:<flavor>:delta``
-          build phases, each orders of magnitude below a full build);
-        * **tree swapped** — the maintained tree seeds ``mst`` (still no
-          Kruskal run), links derive from the handle's arrays, but
-          instances rebuild from scratch (they embed the tree);
-        * **fallback** — diffs above ``max_fraction`` of the edges, or a
-          swap budget overrun, run Kruskal; instances then derive as
-          above when its MST is the parent's, else rebuild from scratch.
+        * **MST kept** (``mode`` ``reused``) — the parent's rooted tree
+          and labeled MST are shared object for object, and each instance
+          is the parent's with only its weight column patched
+          (``instance:<flavor>:delta``), sharing its layering, segments,
+          HLD and kernel tree-arrays;
+        * **MST moved** (``swapped``) — instances build from scratch on
+          the new tree (they embed it).
 
-        The derived plan is bit-identical to ``SolverPlan(handle)`` in
-        everything a solve reads — held by the differential suite in
+        Either way, when the parent's links are built the child's are
+        spliced from them (``links:delta``): the diff's weight patches
+        plus the MST's symmetric difference, never an O(m) re-filter.
+        The stable-Kruskal MST is unique, so the derived plan equals
+        ``SolverPlan(handle)`` in everything a solve reads — held by
         ``tests/test_delta_resolve.py``.
-        """
-        from repro.runtime.delta import DeltaFallback, maintain_mst
 
-        changes = handle.delta_changes
+        ``max_fraction`` and ``max_swaps`` are ignored; they are accepted
+        because perfbench's drift ledger still passes them.
+        """
         if handle.delta_base is None or (
             handle.delta_base.weights_key != parent.handle.weights_key
         ):
@@ -210,45 +211,20 @@ class SolverPlan:
             )
         plan = cls(handle)
         plan._delta_parent = parent
-        info = {"changed": len(changes), "swaps": 0}
-        plan.delta_info = info
-        limit = max(1, int(max_fraction * handle.m))
-        if len(changes) > limit:
-            info.update(mode="fallback", reason=f"diff > {limit} edges")
-            return plan
-        try:
-            outcome = plan._timed(
-                "mst:delta",
-                lambda: maintain_mst(
-                    handle, parent.tree, parent.mst_edges, max_swaps=max_swaps
-                ),
-            )
-        except DeltaFallback as exc:
-            plan.build_times.pop("mst:delta", None)
-            info.update(mode="fallback", reason=str(exc))
-            return plan
-        info["swaps"] = len(outcome.swaps)
-        info["mode"] = "reused" if not outcome.changed_tree else "swapped"
-        # Summed in mst_edges order, exactly as stable_kruskal_mst sums.
-        pos = parent._mst_edge_pos
-        if outcome.changed_tree:
-            pos = [handle._pair_index[e] for e in outcome.mst_edges]
-        plan.__dict__["_mst"] = (
-            outcome.tree, outcome.mst_edges,
-            sum(map(handle.weights.__getitem__, pos)),
-        )
-        # Splice the parent's links when they are already materialized
-        # (O(k + s) instead of O(m)), else build them from the handle's
-        # flat arrays — identical output either way.
+        left: list[tuple[int, int]] = []
+        entered: list[tuple[int, int]] = []
+        if plan._mst_parent() is None:
+            old, new = set(parent.mst_edges), set(plan.mst_edges)
+            left = [e for e in parent.mst_edges if e not in new]
+            entered = [e for e in plan.mst_edges if e not in old]
+        plan.delta_info = {
+            "changed": len(handle.delta_changes),
+            "swaps": len(left),
+            "mode": "swapped" if left else "reused",
+        }
         if "links" in parent.__dict__:
-            swaps = outcome.swaps
             plan._links_builder = lambda: _links_from_parent(
-                parent, handle, swaps
-            )
-        else:
-            mst_set = set(outcome.mst_edges)
-            plan._links_builder = lambda: _links_from_handle(
-                handle, mst_set
+                parent, handle, left, entered
             )
         return plan
 
@@ -286,7 +262,7 @@ class SolverPlan:
             )
             parent = self._delta_parent
             if parent is not None and edges == parent.mst_edges:
-                # A fallback that kept the MST shares the parent's tree.
+                # A derived plan that kept the MST shares the parent's tree.
                 return parent.tree, parent.mst_edges, weight
             return RootedTree.from_edges(handle.n, edges, root=0), edges, weight
 
@@ -338,12 +314,6 @@ class SolverPlan:
     def _link_pos(self) -> dict[tuple[int, int], int]:
         """Link key -> position in :attr:`links` (delta-derivation index)."""
         return {(u, v): i for i, (u, v, _) in enumerate(self.links)}
-
-    @cached_property
-    def _mst_edge_pos(self) -> list[int]:
-        """Handle edge position of each MST edge (delta-derivation)."""
-        pair_index = self.handle._pair_index
-        return [pair_index[e] for e in self.mst_edges]
 
     @cached_property
     def _link_edge_pos(self) -> list[int]:
@@ -467,8 +437,8 @@ class SolverPlan:
     def _mst_parent(self) -> "SolverPlan | None":
         """The delta parent if this plan's MST is the parent's, else ``None``.
 
-        The one condition for deriving from the parent: ``reused`` deltas
-        and ``fallback`` plans whose Kruskal MST came out unchanged.
+        The one condition for deriving the tree, the labeled MST and the
+        instances from the parent (``reused`` deltas).
         """
         parent = self._delta_parent
         if parent is not None and self.mst_edges == parent.mst_edges:

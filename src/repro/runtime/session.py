@@ -108,12 +108,13 @@ class SolverSession:
         Size of the per-weights plan LRU; reweighted scenarios beyond the
         cap evict the least recently used plan (the handle's
         topology-level caches are never evicted).
-    delta_max_fraction, delta_max_swaps:
-        Guard rails for the delta re-solve path: diffs larger than
-        ``delta_max_fraction`` of the edges — or maintenance runs
-        exceeding ``delta_max_swaps`` tree swaps (default: one per changed
-        edge, the provable maximum) — fall back to a full plan rebuild.
     """
+
+    #: Inert: :meth:`SolverPlan.from_delta` ignores both values.  They stay
+    #: only because perfbench's drift ledger (``perfbench/workloads.py``)
+    #: reads them to call ``from_delta``; they go together with that call.
+    delta_max_fraction = 0.05
+    delta_max_swaps = None
 
     def __init__(
         self,
@@ -123,8 +124,6 @@ class SolverSession:
         words_per_edge: int = 4,
         scheduler: Any = None,
         max_plans: int = 8,
-        delta_max_fraction: float = 0.05,
-        delta_max_swaps: int | None = None,
     ) -> None:
         self.handle = (
             graph if isinstance(graph, GraphHandle)
@@ -135,14 +134,12 @@ class SolverSession:
         self.words_per_edge = words_per_edge
         self.scheduler = scheduler
         self.max_plans = max(1, max_plans)
-        self.delta_max_fraction = delta_max_fraction
-        self.delta_max_swaps = delta_max_swaps
         self._plans: "OrderedDict[str, SolverPlan]" = OrderedDict()
         self._counters = {
             "solves": 0, "plans_built": 0, "plan_hits": 0,
             "plan_evictions": 0, "delta_requests": 0, "delta_tree_reuses": 0,
-            "delta_tree_swaps": 0, "delta_fallbacks": 0,
-            "vectorized_batches": 0, "scalar_fallback": 0,
+            "delta_tree_swaps": 0, "vectorized_batches": 0,
+            "scalar_fallback": 0,
         }
         self._evicted_build_times: dict[str, float] = {}
         # The base plan is pinned outside the LRU: every delta derives
@@ -167,7 +164,8 @@ class SolverSession:
         and derives the plan incrementally from the pinned base plan (see
         :meth:`SolverPlan.from_delta`).  Plans are keyed by the
         weight-column fingerprint, so two equal reassignments — or two
-        equal diffs — share one plan.
+        equal diffs — share one plan.  The base plan is built once: after
+        its LRU eviction the pinned plan is re-inserted, not rebuilt.
         """
         if weights_delta is not None:
             if weights is not None:
@@ -178,14 +176,20 @@ class SolverSession:
         handle = self.handle if weights is None else self.handle.reweight(weights)
         key = handle.weights_key
         plan = self._plans.get(key)
+        if plan is None and key == self.handle.weights_key:
+            # The pinned base plan outlives its LRU slot: re-insert it.
+            plan = self._base_plan
+            if plan is not None:
+                self._insert_plan(key, plan)
         if plan is None:
             plan = SolverPlan(handle)
+            self._counters["plans_built"] += 1
             self._insert_plan(key, plan)
+            if key == self.handle.weights_key:
+                self._base_plan = plan
         else:
             self._counters["plan_hits"] += 1
         self._plans.move_to_end(key)
-        if key == self.handle.weights_key and self._base_plan is None:
-            self._base_plan = plan
         return plan
 
     def base_plan(self) -> SolverPlan:
@@ -210,18 +214,12 @@ class SolverSession:
         key = handle.weights_key
         plan = self._plans.get(key)
         if plan is None:
-            plan = SolverPlan.from_delta(
-                self.base_plan(), handle,
-                max_fraction=self.delta_max_fraction,
-                max_swaps=self.delta_max_swaps,
-            )
-            mode = plan.delta_info["mode"]
-            counter = {
-                "reused": "delta_tree_reuses",
-                "swapped": "delta_tree_swaps",
-                "fallback": "delta_fallbacks",
-            }[mode]
-            self._counters[counter] += 1
+            plan = SolverPlan.from_delta(self.base_plan(), handle)
+            reused = plan.delta_info["mode"] == "reused"
+            self._counters[
+                "delta_tree_reuses" if reused else "delta_tree_swaps"
+            ] += 1
+            self._counters["plans_built"] += 1
             self._insert_plan(key, plan)
         else:
             self._counters["plan_hits"] += 1
@@ -229,9 +227,8 @@ class SolverSession:
         return plan
 
     def _insert_plan(self, key: str, plan: SolverPlan) -> None:
-        """Insert a freshly built plan and evict past the LRU cap."""
+        """Insert a plan into the LRU and evict past the cap."""
         self._plans[key] = plan
-        self._counters["plans_built"] += 1
         while len(self._plans) > self.max_plans:
             _, evicted = self._plans.popitem(last=False)
             self._counters["plan_evictions"] += 1
@@ -254,15 +251,15 @@ class SolverSession:
         ``plans_built``, ``plan_hits``, ``plan_misses`` — equal to
         ``plans_built`` — and ``plan_evictions``; the delta-path
         counters ``delta_requests``, ``delta_tree_reuses``,
-        ``delta_tree_swaps``, ``delta_fallbacks``; and the batch-path
+        ``delta_tree_swaps``; and the batch-path
         pair ``vectorized_batches`` / ``scalar_fallback`` counting how
         :meth:`solve_many` routed its queries), the cache
         occupancy
         (``plans_cached`` / ``max_plans``), and ``build_times_s``: wall
         seconds per build phase (``mst``, ``links``, ``diameter``,
-        ``instance:<flavor>``, and their incremental ``<phase>:delta``
-        counterparts) summed across every plan this session ever built,
-        evicted plans included.  Surfaced by the serving layer's
+        ``instance:<flavor>``, and the derived plans' ``links:delta`` and
+        ``instance:<flavor>:delta``) summed across every plan this session
+        ever built, evicted plans included.  Surfaced by the serving layer's
         ``/metrics`` route and ``python -m repro sweep --debug``.
         """
         build_times = dict(self._evicted_build_times)

@@ -11,9 +11,9 @@ measures them message-level:
   :class:`~repro.sim.engine.RunStats`; payloads are tuples of numbers
   counted in words against the per-edge budget, and every violation
   raises :class:`~repro.exceptions.SimulationError`;
-* **the engine** — :class:`~repro.sim.engine.BatchedNetwork`: CSR
-  adjacency built once (numpy-backed when numpy is importable),
-  double-buffered inbox dicts, and a pluggable scheduler;
+* **the engine** — :class:`~repro.sim.engine.BatchedNetwork`:
+  adjacency built once into the node contexts, double-buffered inbox
+  dicts, and a pluggable scheduler;
 * **schedulers** (:mod:`repro.sim.schedulers`) —
   :class:`~repro.sim.schedulers.SynchronousScheduler` steps every node
   every round and is valid for any program, while the default

@@ -1,4 +1,4 @@
-"""The CONGEST engine: the node-program contract, CSR adjacency, round loop.
+"""The CONGEST engine: the node-program contract, adjacency, round loop.
 
 The paper's model (Section 2): communication proceeds in synchronous
 rounds, and per round each vertex may send ``O(log n)`` bits over each
@@ -20,9 +20,8 @@ continue) or ``max_rounds``, and reports measured :class:`RunStats`.
 
 :class:`BatchedNetwork` lays the network out for speed:
 
-* adjacency is built once into CSR arrays (``indptr``/``indices``/
-  ``weights``; numpy-backed when numpy is importable, list-backed
-  otherwise);
+* adjacency is built once, as each node's sorted neighbour tuple and
+  neighbour -> weight dict on its :class:`Context`;
 * inbox dicts are double-buffered per node: sends are written straight
   into the back buffer during the step loop (no staging list, no n fresh
   dicts per round) and the buffers swap at the round edge;
@@ -49,11 +48,6 @@ import networkx as nx
 from repro.exceptions import SimulationError
 from repro.sim.failures import FailurePlan
 from repro.sim.schedulers import resolve_scheduler
-
-try:  # optional fast path: compact arrays for the CSR adjacency
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 __all__ = [
     "BatchedNetwork",
@@ -167,39 +161,18 @@ class BatchedNetwork:
         self.trace: list[RoundRecord] | None = [] if trace else None
         self.dropped = 0
 
-        # ---- CSR adjacency ------------------------------------------------
-        nbrs = [sorted(graph.neighbors(v)) for v in range(self.n)]
-        indptr = [0] * (self.n + 1)
-        for v in range(self.n):
-            indptr[v + 1] = indptr[v] + len(nbrs[v])
-        indices: list[int] = []
-        csr_weights: list[float] = []
+        self.contexts: list[Context] = []
         for v in range(self.n):
             row = graph[v]
-            for u in nbrs[v]:
-                indices.append(u)
-                csr_weights.append(float(row[u].get("weight", 1.0)))
-
-        self.contexts = [
-            Context(
+            nbrs = sorted(graph.neighbors(v))
+            self.contexts.append(Context(
                 node=v,
-                neighbors=tuple(nbrs[v]),
-                edge_weights=dict(
-                    zip(nbrs[v], csr_weights[indptr[v] : indptr[v + 1]])
-                ),
+                neighbors=tuple(nbrs),
+                edge_weights={
+                    u: float(row[u].get("weight", 1.0)) for u in nbrs
+                },
                 n=self.n,
-            )
-            for v in range(self.n)
-        ]
-
-        if _np is not None:
-            self.indptr = _np.asarray(indptr, dtype=_np.int64)
-            self.indices = _np.asarray(indices, dtype=_np.int64)
-            self.csr_weights = _np.asarray(csr_weights, dtype=_np.float64)
-        else:
-            self.indptr = indptr
-            self.indices = indices
-            self.csr_weights = csr_weights
+            ))
 
         # Double-buffered inbox dicts: programs read the front buffer while
         # sends are written straight into the back buffer (no staging
@@ -212,10 +185,6 @@ class BatchedNetwork:
         """Clear every node's program state (contexts are reused across runs)."""
         for ctx in self.contexts:
             ctx.state = {}
-
-    def adjacency(self):
-        """The raw CSR triple ``(indptr, indices, weights)``."""
-        return self.indptr, self.indices, self.csr_weights
 
     def _check_payload(self, sender: int, receiver: int, payload: Payload) -> int:
         if not isinstance(payload, tuple):

@@ -4,9 +4,12 @@ Mirrors the session-reuse differential suite
 (``tests/test_runtime_session.py``): for every registered compute backend,
 a :meth:`~repro.runtime.session.SolverSession.solve` driven by a sparse
 ``weights_delta`` must be **bit-identical** to a fresh one-shot call on a
-graph rebuilt with the same patched weights — across swap-forcing diffs,
-non-swap diffs, fallback-forcing configurations, and tie-heavy integer
-weights.  Also pins the correctness-hardening satellites: the weight
+graph rebuilt with the same patched weights — across diffs that move the
+MST, diffs that keep it, diffs of any size, and tie-heavy integer weights.
+At the plan level, a plan derived by :meth:`SolverPlan.from_delta` must
+equal a plan built from scratch on the child handle, artifact for
+artifact, on drawn graphs, weights and diffs.  Also pins the
+correctness-hardening satellites: the weight
 fingerprint canonicalizes signed zero and rejects NaN, and a reweight
 mapping naming one edge under both key orders with different values is an
 explicit :class:`~repro.exceptions.GraphFormatError`.
@@ -18,14 +21,14 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.tecss import approximate_two_ecss
 from repro.exceptions import GraphFormatError
 from repro.fast import HAVE_NUMPY
 from repro.graphs import cycle_with_chords
-from repro.graphs.families import make_family_instance
+from repro.graphs.families import FAMILIES, make_family_instance
 from repro.runtime import GraphHandle, SolverPlan, SolverSession
-from repro.runtime.delta import DeltaFallback, maintain_mst
 
 COMPUTE_BACKENDS = ["reference"] + (["fast"] if HAVE_NUMPY else [])
 
@@ -75,23 +78,127 @@ def _stable_mst_edges(graph):
     return sorted(tuple(sorted(e)) for e in mst.edges())
 
 
+def _instance_fields(inst):
+    """Everything a solve reads off a :class:`TAPInstance`, comparably."""
+    fields = {
+        "parent": inst.tree.parent,
+        "tin": inst.tree.tin,
+        "tout": inst.tree.tout,
+        "edges": list(inst.edges),
+        "segment_size": inst.segment_size,
+        "layer": inst.layering.layer,
+        "path_id": inst.layering.path_id,
+        "num_layers": inst.layering.num_layers,
+        "seg_of_edge": inst.segments.seg_of_edge,
+    }
+    if HAVE_NUMPY and not isinstance(inst.edges, list):
+        arrays = inst.arrays
+        for name in ("dec", "anc", "weight", "layer", "path_id", "path_leaf"):
+            fields["arrays." + name] = getattr(arrays, name).tolist()
+        fields["arrays.tin"] = arrays.ta.tin.tolist()
+    return fields
+
+
+def _assert_same_plan(derived, fresh):
+    """A derived plan equals a from-scratch plan in every solve input."""
+    assert derived.mst_edges == fresh.mst_edges
+    assert derived.mst_weight == fresh.mst_weight
+    assert type(derived.mst_weight) is type(fresh.mst_weight)
+    assert derived.labeled_mst_edges == fresh.labeled_mst_edges
+    assert derived.tree.parent == fresh.tree.parent
+    assert derived.tree.tin == fresh.tree.tin
+    assert derived.tree.tout == fresh.tree.tout
+    assert derived.links == fresh.links
+    for flavor in COMPUTE_BACKENDS:
+        assert _instance_fields(derived.instance(flavor)) == _instance_fields(
+            fresh.instance(flavor)
+        ), flavor
+
+
 # ---------------------------------------------------------------------------
-# swap-edge MST maintenance (unit level)
+# the derived plan's MST (plan level)
 # ---------------------------------------------------------------------------
 
 
-class TestMaintainMst:
+BIG = 2 ** 53
+
+#: Weight pools: small ints (many exact ties), ints and floats at float64's
+#: exact-integer limit, and floats with ties.
+WEIGHTS = {
+    int: st.integers(1, 4) | st.integers(BIG - 3, BIG + 3),
+    float: (
+        st.sampled_from([0.5, 1.0, 1.5])
+        | st.floats(0.0, 16.0)
+        | st.sampled_from([BIG - 1.0, float(BIG), BIG + 2.0])
+    ),
+}
+
+
+@st.composite
+def derived_cases(draw):
+    """A family graph, a base column and a diff of 1..m of its edges."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    graph = make_family_instance(
+        family, draw(st.integers(6, 60)), seed=draw(st.integers(0, 1 << 16))
+    )
+    m = graph.number_of_edges()
+    weight = WEIGHTS[draw(st.sampled_from([int, float]))]
+    base = draw(st.lists(weight, min_size=m, max_size=m))
+    positions = draw(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    )
+    new = draw(st.lists(weight, min_size=len(positions), max_size=len(positions)))
+    return graph, base, dict(zip(positions, new))
+
+
+class TestDerivedMst:
+    @settings(max_examples=150, deadline=None)
+    @given(case=derived_cases(), warm=st.booleans())
+    def test_derived_plan_equals_fresh_plan(self, case, warm):
+        """``from_delta`` == ``SolverPlan(child)``, artifact for artifact.
+
+        ``warm`` builds the parent's links and instances first, so the
+        child splices its links and derives its instances from them.
+        """
+        graph, base, diff = case
+        handle = GraphHandle.from_graph(graph).reweight(base)
+        child = handle.reweight_delta(
+            {handle.edge_list[i]: w for i, w in diff.items()}
+        )
+        assume(child is not handle)
+        parent = SolverPlan(handle)
+        if warm:
+            parent.links
+            for flavor in COMPUTE_BACKENDS:
+                parent.instance(flavor)
+        derived = SolverPlan.from_delta(parent, child)
+        fresh = SolverPlan(GraphHandle.from_graph(graph).reweight(child.weights))
+        _assert_same_plan(derived, fresh)
+        left = set(parent.mst_edges) - set(fresh.mst_edges)
+        assert derived.delta_info == {
+            "changed": len(child.delta_changes),
+            "swaps": len(left),
+            "mode": "swapped" if left else "reused",
+        }
+        assert len(left) <= len(child.delta_changes)
+        if not left:
+            assert derived.tree is parent.tree
+
     def test_fuzz_matches_stable_kruskal(self):
-        """Maintained tree == stable Kruskal of the patched graph, 30 trials."""
+        """Derived MST == stable Kruskal of the patched graph, 30 trials."""
         for trial in range(30):
             graph = cycle_with_chords(40, 14, seed=trial)
             handle = GraphHandle.from_graph(graph)
             plan = SolverPlan(handle)
+            plan.links  # built, so the derived plan splices its links
             changed = _sparse_diff(graph, 1000 + trial, k=1 + trial % 5)
             new = handle.reweight_delta(changed)
-            outcome = maintain_mst(new, plan.tree, plan.mst_edges)
-            assert outcome.mst_edges == _stable_mst_edges(_patched(graph, changed))
-            assert len(outcome.swaps) <= len(new.delta_changes)
+            derived = SolverPlan.from_delta(plan, new)
+            assert derived.mst_edges == _stable_mst_edges(_patched(graph, changed))
+            assert derived.delta_info["swaps"] <= len(new.delta_changes)
+            _assert_same_plan(derived, SolverPlan(GraphHandle.from_graph(
+                _patched(graph, changed)
+            )))
 
     def test_tie_heavy_integer_weights(self):
         """Integer weights with many ties: the lex tie-break must hold."""
@@ -109,16 +216,19 @@ class TestMaintainMst:
             new = handle.reweight_delta(changed)
             if new is handle:
                 continue
-            outcome = maintain_mst(new, plan.tree, plan.mst_edges)
-            assert outcome.mst_edges == _stable_mst_edges(_patched(graph, changed))
+            derived = SolverPlan.from_delta(plan, new)
+            assert derived.mst_edges == _stable_mst_edges(_patched(graph, changed))
+            _assert_same_plan(derived, SolverPlan(GraphHandle.from_graph(
+                _patched(graph, changed)
+            )))
 
     def test_big_integer_delta_values_rank_exactly(self):
-        """New values past 2**53 must not reach the float64 crossing query.
+        """Integer weights past 2**53 rank exactly in a derived plan's MST.
 
-        The base column is small and float-exact; the diff lifts both
-        chords above 2**53, where ``2**53 + 1`` and ``2**53`` cast to the
-        same float64.  The cut rule for the heavier tree edge must still
-        pick the exactly-lighter chord (0, 3), as Kruskal does.
+        The base column is small; the diff lifts both chords above 2**53,
+        where ``2**53 + 1`` and ``2**53`` cast to the same float64.  The
+        heavier tree edge must still give way to the exactly-lighter
+        chord (0, 3), as Kruskal over the weight objects does.
         """
         import networkx as nx
 
@@ -126,33 +236,19 @@ class TestMaintainMst:
 
         graph = nx.Graph()
         graph.add_nodes_from(range(4))
-        # The chords come first, so their changes apply before the cut
-        # rule builds its crossing index.
         for u, v, w in [(0, 2, 5), (0, 3, 5), (0, 1, 1), (1, 2, 1), (2, 3, 1)]:
             graph.add_edge(u, v, weight=w)
-        session = SolverSession(graph, delta_max_fraction=1.0)
+        session = SolverSession(graph)
         assert session.base_plan().mst_edges == [(0, 1), (1, 2), (2, 3)]
-        big = 2 ** 53
         plan = session.plan(
-            weights_delta={(0, 2): big + 1, (0, 3): big, (1, 2): big + 10}
+            weights_delta={(0, 2): BIG + 1, (0, 3): BIG, (1, 2): BIG + 10}
         )
         assert plan.delta_info["mode"] == "swapped"
         handle = plan.handle
-        want, _ = stable_kruskal_mst(handle.n, handle.edges, handle.weights)
+        want, weight = stable_kruskal_mst(handle.n, handle.edges, handle.weights)
         assert want == [(0, 1), (0, 3), (2, 3)]
         assert plan.mst_edges == want
-
-    def test_swap_budget_raises_fallback(self):
-        """A cascade past ``max_swaps`` aborts with :class:`DeltaFallback`."""
-        graph = cycle_with_chords(40, 14, seed=7)
-        handle = GraphHandle.from_graph(graph)
-        plan = SolverPlan(handle)
-        # Make several chords much cheaper than the tree path they span:
-        # each must enter the tree, forcing one swap per change.
-        changed = {e: 0.001 for e in list(graph.edges())[-6:]}
-        new = handle.reweight_delta(changed)
-        with pytest.raises(DeltaFallback):
-            maintain_mst(new, plan.tree, plan.mst_edges, max_swaps=0)
+        assert plan.mst_weight == weight == BIG + 2
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +358,7 @@ class TestDeltaDifferential:
 
     @pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
     def test_swap_and_nonswap_paths(self, backend):
-        """Force both maintenance outcomes and check counters + identity."""
+        """Force both derivation outcomes and check counters + identity."""
         graph = make_family_instance("grid", 49, seed=2)
         session = SolverSession(graph, backend=backend)
         session.solve(eps=0.5)
@@ -287,16 +383,17 @@ class TestDeltaDifferential:
         assert stats["delta_requests"] == 2
         assert stats["delta_tree_swaps"] >= 1
 
-    def test_fallback_path_bit_identical(self):
-        """A too-large diff falls back to a plain rebuild — same result."""
+    def test_large_diff_bit_identical(self):
+        """A diff of most edges takes the same path — same result."""
         graph = cycle_with_chords(36, 12, seed=3)
-        session = SolverSession(graph, delta_max_fraction=0.0001)
+        session = SolverSession(graph)
         session.solve(eps=0.5)
-        changed = _sparse_diff(graph, 9, k=5)
+        changed = _sparse_diff(graph, 9, k=40)
         got = session.solve(eps=0.5, weights_delta=changed)
         want = approximate_two_ecss(_patched(graph, changed), eps=0.5)
         _assert_same_result(got, want)
-        assert session.stats()["delta_fallbacks"] == 1
+        stats = session.stats()
+        assert stats["delta_tree_reuses"] + stats["delta_tree_swaps"] == 1
 
     def test_chained_deltas_are_base_relative(self):
         """A second delta replaces the first — diffs are against the base."""
@@ -343,17 +440,17 @@ class TestDeltaDifferential:
         assert got.measured_rounds == want.measured_rounds
 
     def test_delta_build_times_visible(self):
-        """The reused path books ``mst:delta`` time, not ``mst`` time."""
+        """The reused path books Kruskal under ``mst`` and derived phases."""
         graph = cycle_with_chords(30, 10, seed=8)
         session = SolverSession(graph)
         session.solve(eps=0.5)
         edges = list(graph.edges())
         reuse = {edges[0]: graph[edges[0][0]][edges[0][1]]["weight"] * 0.999}
+        plan = session.plan(weights_delta=reuse)
         session.solve(eps=0.5, weights_delta=reuse)
-        times = session.stats()["build_times_s"]
-        assert "mst:delta" in times
-        assert any(key.endswith(":delta") and key.startswith("instance")
-                   for key in times)
+        assert plan.delta_info["mode"] == "reused"
+        assert set(plan.build_times) == {"mst", "instance:reference:delta"}
+        assert "instance:reference:delta" in session.stats()["build_times_s"]
 
 
 # ---------------------------------------------------------------------------

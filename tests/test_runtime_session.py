@@ -402,10 +402,29 @@ class TestSessionValidation:
         g = cycle_with_chords(12, 4, seed=1)
         session = SolverSession(g, max_plans=1)
         session.solve(eps=0.5)
+        base = session.plan()
         session.solve(eps=0.5, weights=[1.0] * g.number_of_edges())
-        session.solve(eps=0.5)  # original weights: plan was evicted, rebuilt
-        assert session.stats()["plans_built"] == 3
+        session.solve(eps=0.5)  # original weights: evicted, but pinned
+        assert session.plan() is base
+        assert session.stats()["plans_built"] == 2
         assert len(session._plans) == 1
+
+    def test_evicted_base_plan_is_not_rebuilt(self):
+        """Past its LRU eviction the pinned base plan still serves every
+        base-weight query, and deltas keep deriving from that same plan."""
+        g = cycle_with_chords(30, 10, seed=1)
+        session = SolverSession(g, max_plans=2)
+        session.solve(eps=0.5)
+        base = session.plan()
+        m = g.number_of_edges()
+        for scale in (2.0, 3.0, 4.0):
+            session.solve(eps=0.5, weights=[scale] * m)
+        assert session.plan() is base
+        assert session.stats()["plans_built"] == 4
+        edge = next(iter(g.edges()))
+        delta = session.plan(weights_delta={edge: 0.5})
+        assert delta._delta_parent is base
+        assert session.base_plan() is base
 
     def test_stats_lru_eviction_accounting(self):
         """stats() counts evictions and keeps evicted plans' build times."""

@@ -13,8 +13,11 @@ the same JSON round trip on both sides, and the event-driven scheduler must
 equal the synchronous one live.  The sync scheduler steps every node every
 round and is valid for any program, so it stays the live oracle: a
 hypothesis test extends the live comparison to drawn graphs, gossip
-parameters and failure plans, and a timing test pins the point of the
-event-driven scheduler, ≥3× over every-node stepping on a 2000+-node grid.
+parameters and failure plans, a program that logs each inbox's sender
+order pins the event-driven scheduler's ascending step order (which every
+fixed program reads order-insensitively), and a timing test pins the point
+of the event-driven scheduler, ≥3× over every-node stepping on a 2000+-node
+grid.
 
 Cases take the network factory and the namespace providing the programs
 (``repro.sim`` here), so the same table generated the fixture.
@@ -237,6 +240,56 @@ class TestDrawnInputs:
             return net.run(program), _states(net)
 
         assert run("event") == run("sync")
+
+
+class InboxOrderLog:
+    """Hop-limited flooding where each node logs its inboxes' sender order.
+
+    Event-driven (a node sends only when it first runs as a starter or
+    when it receives), but order-sensitive on purpose: the log is each
+    inbox dict's insertion order, the order its senders were stepped in.
+    Sync steps ``0..n-1``, so event equals sync only if the event-driven
+    scheduler steps in ascending order too.
+    """
+
+    def __init__(self, starters: frozenset, hops: int) -> None:
+        self.starters = starters
+        self.hops = hops
+
+    def setup(self, ctx) -> None:
+        ctx.state.update(armed=ctx.node in self.starters, log=[])
+
+    def step(self, ctx, inbox):
+        st = ctx.state
+        if st["armed"]:
+            st["armed"] = False
+            return {u: (1,) for u in ctx.neighbors}
+        if not inbox:
+            return {}
+        st["log"].append(list(inbox))
+        hop = min(payload[0] for payload in inbox.values())
+        if hop >= self.hops:
+            return {}
+        return {u: (hop + 1,) for u in ctx.neighbors}
+
+    def wants_to_continue(self, ctx) -> bool:
+        return False
+
+
+class TestInboxOrder:
+    @pytest.mark.parametrize("family", sorted(GRAPH_MAKERS))
+    def test_event_steps_in_sync_order(self, family):
+        g = _weighted(GRAPH_MAKERS[family](1))
+        program = InboxOrderLog(frozenset(range(0, g.number_of_nodes(), 7)), 3)
+
+        def run(scheduler):
+            net = BatchedNetwork(g, scheduler=scheduler)
+            return net.run(program), [ctx.state["log"] for ctx in net.contexts]
+
+        event, sync = run("event"), run("sync")
+        assert event == sync
+        # The order must matter: some inbox holds several senders.
+        assert any(len(senders) > 1 for log in sync[1] for senders in log)
 
 
 class TestSpeedup:

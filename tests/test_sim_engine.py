@@ -1,7 +1,7 @@
 """Engine-contract tests for ``repro.sim``: under both schedulers the engine
 must enforce the CONGEST budget, reject malformed sends, and truncate at
 ``max_rounds`` — same exception type, same message shape.  Plus the rest of
-the engine surface: traces, schedulers, CSR adjacency.
+the engine surface: traces, schedulers, adjacency.
 """
 
 from __future__ import annotations
@@ -175,17 +175,15 @@ class TestBatchedSurface:
         oracle = BatchedNetwork(g, scheduler="sync").run(DistributedBFS(0))
         assert stats == oracle
 
-    def test_csr_adjacency_matches_graph(self):
+    def test_context_adjacency_matches_graph(self):
         g = grid_graph(5, 6, seed=2)
         net = BatchedNetwork(g)
-        indptr, indices, weights = net.adjacency()
-        for v in g.nodes():
-            lo, hi = int(indptr[v]), int(indptr[v + 1])
-            assert g.degree(v) == hi - lo
-            row = [int(u) for u in indices[lo:hi]]
-            assert row == sorted(g.neighbors(v))
-            for u, w in zip(row, weights[lo:hi]):
-                assert float(w) == pytest.approx(g[v][u]["weight"])
+        assert [ctx.node for ctx in net.contexts] == list(range(g.number_of_nodes()))
+        for v, ctx in enumerate(net.contexts):
+            assert ctx.neighbors == tuple(sorted(g.neighbors(v)))
+            assert list(ctx.edge_weights) == list(ctx.neighbors)
+            for u, w in ctx.edge_weights.items():
+                assert type(w) is float and w == g[v][u]["weight"]
 
     def test_scheduler_resolution(self):
         assert isinstance(resolve_scheduler(None), EventDrivenScheduler)

@@ -46,9 +46,10 @@ ORDER_INSENSITIVE_METHODS = frozenset({
 
 #: Callees (by leaf name) that materialise their iterable argument in
 #: order.  A set passed straight into one of these bakes hash order into
-#: a durable structure — the exact bug class behind the delta.py rebuild
-#: fix.  Sets passed to *other* calls are typically membership tables and
-#: are left alone (the callee's own iteration is linted in its module).
+#: a durable structure — a tree rooted from a set of edges gets
+#: run-dependent DFS labels, and downstream tie-breaks compare them.
+#: Sets passed to *other* calls are typically membership tables and are
+#: left alone (the callee's own iteration is linted in its module).
 ORDER_SENSITIVE_SINKS = frozenset({
     "from_edges", "add_edges_from", "add_nodes_from",
     "join", "extend", "fromkeys", "deque",
