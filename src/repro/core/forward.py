@@ -66,21 +66,20 @@ def forward_phase(
     ``log_{1+eps}(n) + 2``; exceeding the padded bound raises
     :class:`InvariantViolation` (it would indicate an implementation bug).
 
-    ``backend="fast"`` runs the vectorized forward phase on the one-row
-    stack ``[inst]`` (:func:`repro.fast.forward.forward_phase_fast_batch`,
-    requires numpy), whose output is bit-identical to this reference loop
-    — the differential suite in ``tests/test_backend_differential.py``
-    holds the two to equality.
+    ``backend="fast"`` runs the vectorized forward phase
+    (:func:`repro.fast.forward.forward_phase_fast`, requires numpy), whose
+    output is bit-identical to this reference loop — the differential
+    suite in ``tests/test_backend_differential.py`` holds the two to
+    equality.
     """
     from repro.fast import resolve_backend
 
     if resolve_backend(backend) == "fast":
-        from repro.fast.forward import forward_phase_fast_batch
+        from repro.fast.forward import forward_phase_fast
 
-        (result,) = forward_phase_fast_batch(
-            [inst], eps=eps, max_iter_slack=max_iter_slack
+        return forward_phase_fast(
+            inst, eps=eps, max_iter_slack=max_iter_slack
         )
-        return result
     if eps <= 0:
         raise ValueError("eps must be positive")
     inst.check_feasible()

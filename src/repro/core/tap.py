@@ -40,7 +40,6 @@ def solve_virtual_tap(
     validate: bool = True,
     backend: str = "reference",
     hooks: Any = None,
-    fwd: ForwardResult | None = None,
 ) -> tuple[ForwardResult, ReverseResult]:
     """Solve TAP on an already-virtual instance; returns (fwd, rev).
 
@@ -52,17 +51,15 @@ def solve_virtual_tap(
     ``"fast"`` (vectorized kernels in :mod:`repro.fast`, bit-identical
     output, requires numpy).  ``hooks`` is forwarded to
     :func:`repro.core.reverse.reverse_delete` (the distributed pipeline's
-    observation point for the global-MIS gather).  A given ``fwd`` (the
-    forward result for ``inst`` at ``eps / c``) skips the forward phase.
+    observation point for the global-MIS gather).
     """
     if variant not in COVER_BOUND:
         raise ValueError(f"variant must be one of {sorted(COVER_BOUND)}")
     backend = resolve_backend(backend)
     c = COVER_BOUND[variant]
     eps_prime = eps / c
-    if fwd is None:
-        with obs.span("tap.forward", backend=backend):
-            fwd = forward_phase(inst, eps=eps_prime, backend=backend)
+    with obs.span("tap.forward", backend=backend):
+        fwd = forward_phase(inst, eps=eps_prime, backend=backend)
     with obs.span("tap.reverse", backend=backend):
         rev = reverse_delete(
             inst, fwd, variant=variant, segmented=segmented,

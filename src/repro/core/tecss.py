@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from repro.core.result import TapResult, TwoEcssResult
 from repro.core.reverse import COVER_BOUND
-from repro.graphs.validation import check_two_edge_connected
+from repro.exceptions import InvariantViolation
 from repro.trees.rooted import RootedTree
 
 __all__ = [
@@ -143,9 +143,19 @@ def assemble_two_ecss(
     weight = mst_weight + tap.weight
 
     if validate:
+        # The input was checked when its handle was built: a gap here is
+        # the solver's, so it is named in the caller's labels.
         sub = g.edge_subgraph(chosen).copy()
         sub.add_nodes_from(g.nodes())
-        check_two_edge_connected(sub)
+        if not nx.is_connected(sub):
+            raise InvariantViolation("the returned subgraph is not connected")
+        bridge = next(nx.bridges(sub), None)
+        if bridge is not None:
+            u, v = bridge
+            raise InvariantViolation(
+                f"the returned subgraph has a bridge ({nodes[u]!r}, "
+                f"{nodes[v]!r}); it is not 2-edge-connected"
+            )
 
     # Map back to the caller's node labels.
     edges_out = [(nodes[u], nodes[v]) for u, v in chosen]

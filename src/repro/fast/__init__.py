@@ -18,7 +18,8 @@ arrays, batched scatter/gather) while producing **bit-identical** results:
   of a :class:`~repro.trees.rooted.RootedTree` and a
   :class:`~repro.core.instance.TAPInstance` that the kernels consume;
 * :mod:`repro.fast.forward` — the vectorized primal-dual forward phase
-  (paper Sections 3.4/4.4), a drop-in for
+  (paper Sections 3.4/4.4) over one weight column,
+  :func:`~repro.fast.forward.forward_phase_fast`, a drop-in for
   :func:`repro.core.forward.forward_phase`;
 * :mod:`repro.fast.context` — :class:`~repro.fast.context.FastEpochContext`,
   the vectorized epoch state for the reverse-delete phase (petal oracle and

@@ -15,11 +15,10 @@ the per-epoch *primitives*, all integer-exact:
   batch of additions instead of O(log^2 n) Fenwick work per query);
 * X-coverage counts via :func:`~repro.fast.kernels.path_cover_counts`.
 
-The petal chmins and the coverage counts are the same one-row-or-many
-kernels (:func:`~repro.fast.kernels.path_chmin`,
-:func:`~repro.fast.kernels.subtree_counts`) the scenario-batched forward
-phase (:func:`~repro.fast.forward.forward_phase_fast_batch`) runs on
-``(scenarios, ·)`` stacks; reverse-delete calls them on one row.
+The petal chmins and the coverage counts are the same kernels
+(:func:`~repro.fast.kernels.path_chmin`,
+:func:`~repro.fast.kernels.subtree_counts`) the forward phase
+(:func:`~repro.fast.forward.forward_phase_fast`) runs.
 
 Because petal indices and coverage counts are exact integers in both
 backends, :class:`FastEpochContext` selects the same anchors, builds the

@@ -22,15 +22,6 @@ exactness contract the differential suite relies on:
   reference segment tree (minimum of a set of doubles does not depend on
   association order).
 
-The three per-vertex kernels (:func:`ancestor_sums_levels`,
-:func:`subtree_counts`, :func:`path_chmin`) take one row or many: a 1-D
-argument is one scenario, a C-order ``(S, ·)`` argument is ``S`` scenarios
-over the same tree, addressed through flat ``row * n + vertex`` indices so
-that one row costs what the plain 1-D gather costs.  Row ``s`` of a
-many-row call equals the one-row call on row ``s`` bit for bit: rows never
-mix, and each output element is produced by the same operations either
-way.
-
 All functions take plain numpy arrays so they can be unit-tested against
 the reference tree structures directly (``tests/test_fast_kernels.py``).
 """
@@ -84,18 +75,6 @@ def depth_levels(depth):
     ]
 
 
-def _row_offsets(values, n):
-    """``row * n`` as an ``(S, 1)`` column, or ``None`` for a single row.
-
-    Row 0's flat indices are the vertex indices themselves, so one row —
-    1-D or ``(1, n)`` — indexes with the plain per-vertex arrays.
-    """
-    np = _numpy()
-    if values.ndim == 1 or values.shape[0] == 1:
-        return None
-    return (np.arange(values.shape[0], dtype=np.int64) * n)[:, None]
-
-
 def ancestor_sums_levels(levels, parent, values):
     """Root-to-vertex prefix sums, bit-identical to the reference loop.
 
@@ -104,45 +83,27 @@ def ancestor_sums_levels(levels, parent, values):
     :meth:`~repro.trees.pathops.TreePathOps.ancestor_sums`).  Because each
     element is still computed by exactly one ``parent + value`` addition,
     the result equals the sequential Python recurrence bit for bit.
-    ``values`` is one ``(n,)`` row or an ``(S, n)`` stack; the result has
-    its shape.
     """
     np = _numpy()
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     cum = np.zeros_like(values)
-    flat = cum.reshape(-1)
-    vals = values.reshape(-1)
-    offs = _row_offsets(values, len(parent))
     for lvl in levels[1:]:
-        plvl = parent[lvl]
-        if offs is not None:
-            lvl = (offs + lvl).reshape(-1)
-            plvl = (offs + plvl).reshape(-1)
-        flat[lvl] = flat[plvl] + vals[lvl]
+        cum[lvl] = cum[parent[lvl]] + values[lvl]
     return cum
 
 
 def subtree_counts(tin, tout, delta):
     """Per-vertex sums of ``delta`` over subtrees, via the Euler tour.
 
-    ``delta`` is an int64 per-vertex array — one ``(n,)`` row or an
-    ``(S, n)`` stack; returns ``counts`` of the same shape with
-    ``counts[v] = sum of delta over the subtree rooted at v`` per row.
-    One prefix sum runs over the flattened stack: a row's Euler interval
-    ``[s*n + tin[v], s*n + tout[v])`` never leaves row ``s``, so the
-    carry from earlier rows cancels in the difference.  Pure integer
-    arithmetic — exact for the coverage-count bookkeeping.
+    ``delta`` is an int64 per-vertex array; returns ``counts`` with
+    ``counts[v] = sum of delta over the subtree rooted at v``.  Pure
+    integer arithmetic — exact for the coverage-count bookkeeping.
     """
     np = _numpy()
-    delta = np.asarray(delta, dtype=np.int64)
-    offs = _row_offsets(delta, len(tin))
-    if offs is not None:
-        tin = (offs + tin).reshape(-1)
-        tout = (offs + tout).reshape(-1)
-    arr = np.zeros(delta.size, dtype=np.int64)
-    arr[tin] = delta.reshape(-1)
+    arr = np.zeros(len(tin), dtype=np.int64)
+    arr[tin] = delta
     pref = np.concatenate((np.zeros(1, dtype=np.int64), np.cumsum(arr)))
-    return (pref[tout] - pref[tin]).reshape(delta.shape)
+    return pref[tout] - pref[tin]
 
 
 def path_cover_counts(tin, tout, dec, anc, n):
@@ -235,50 +196,40 @@ def path_chmin(up, depth, n, dec, anc, values, identity):
     runs from ``dec[i]`` up to (exclusive) ``anc[i]`` and carries
     ``values[i]``; the result ``ans`` (length ``n``, ``identity`` where no
     path covers) satisfies ``ans[t] = min over covering i of values[i]``.
-    ``values`` may also be an ``(S, m)`` stack over the same paths, giving
-    an ``(S, n)`` result; an entry equal to ``identity`` marks a path the
-    row does not contribute, so per-row path selection lives in the value
-    matrix.
+    A path whose value equals ``identity`` contributes nothing.
 
     Sparse-table scheme on the tree: a path of edge-length ``L`` with
     ``k = floor(log2 L)`` is covered by the two ancestor blocks of length
     ``2^k`` anchored at ``dec`` and at the ancestor of ``dec`` at depth
     ``depth[anc] + 2^k``; blocks are scattered with ``np.minimum.at`` into
-    a ``(k, row * n + vertex)`` table and pushed down one level at a time.
-    The block decomposition depends on the paths only, so it is computed
-    once for all rows.  Integer keys give exact lexicographic minima
-    (encode ``(primary, index)`` as ``primary * count + index``); float
-    values give the same minimum as the reference segment tree.
+    a ``(k, vertex)`` table and pushed down one level at a time.  Integer
+    keys give exact lexicographic minima (encode ``(primary, index)`` as
+    ``primary * count + index``); float values give the same minimum as
+    the reference segment tree.
     """
     np = _numpy()
     values = np.asarray(values)
-    dec = np.asarray(dec, dtype=np.int64)
-    anc = np.asarray(anc, dtype=np.int64)
-    shape = values.shape[:-1] + (n,)
-    flat_vals = values.reshape(-1)
     # Identity entries would scatter as no-ops: drop them up front.
-    hit = np.flatnonzero(flat_vals != identity)
+    hit = np.flatnonzero(values != identity)
     if hit.size == 0:
-        return np.full(shape, identity, dtype=values.dtype)
+        return np.full(n, identity, dtype=values.dtype)
+    dec = np.asarray(dec, dtype=np.int64)[hit]
+    anc = np.asarray(anc, dtype=np.int64)[hit]
+    vals = values[hit]
     length = depth[dec] - depth[anc]  # >= 1 for valid vertical paths
     # floor(log2(L)) via frexp: exact for int64 magnitudes below 2^53.
     k = (np.frexp(length.astype(np.float64))[1] - 1).astype(np.int64)
     top = batch_ancestor_at_depth(up, depth, dec, depth[anc] + (1 << k))
-    row, path = np.divmod(hit, len(dec))
-    vals = flat_vals[hit]
-    kp = k[path]
-    stride = values.size // len(dec) * n
-    kmax = int(kp.max())
-    table = np.full((kmax + 1, stride), identity, dtype=values.dtype)
-    at = kp * stride + row * n
-    np.minimum.at(table.reshape(-1), at + dec[path], vals)
-    np.minimum.at(table.reshape(-1), at + top[path], vals)
+    kmax = int(k.max())
+    table = np.full((kmax + 1, n), identity, dtype=values.dtype)
+    flat = table.reshape(-1)
+    np.minimum.at(flat, k * n + dec, vals)
+    np.minimum.at(flat, k * n + top, vals)
     for kk in range(kmax, 0, -1):
         level = table[kk]
         live = np.flatnonzero(level != identity)
         if live.size == 0:
             continue
         np.minimum(table[kk - 1], level, out=table[kk - 1])
-        v = live % n
-        np.minimum.at(table[kk - 1], live - v + up[kk - 1][v], level[live])
-    return table[0].reshape(shape)
+        np.minimum.at(table[kk - 1], up[kk - 1][live], level[live])
+    return table[0]

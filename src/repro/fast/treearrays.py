@@ -3,9 +3,7 @@
 :class:`TreeArrays` freezes one :class:`~repro.trees.rooted.RootedTree`
 into flat int64/float64 arrays (parent, depth, Euler intervals, depth
 levels, binary-lifting table) and exposes the kernel entry points bound to
-them; the prefix-sum, subtree-count and path-chmin kernels take one row or
-an ``(S, ·)`` stack of scenario rows.  :class:`InstanceArrays` adds the
-per-instance columns — the CSR-style
+them.  :class:`InstanceArrays` adds the per-instance columns — the CSR-style
 virtual-edge arrays ``dec``/``anc``/``weight`` (the tree-edge × non-tree-
 edge incidence is implicit: edge ``i`` covers exactly the vertical chain
 ``dec[i] .. anc[i]``, which every kernel exploits) plus the layering
@@ -127,9 +125,10 @@ class InstanceArrays:
         Everything else — tree arrays, ``dec``/``anc``, layering columns,
         the nearest-in-layer cache — is a pure function of the tree and
         the virtual-edge *structure*, so plan derivation — delta re-solves
-        and scenario batches alike
+        and scenario columns alike
         (:meth:`repro.runtime.plan.SolverPlan._derive_instance`) — shares
-        it object-for-object across reweights of the same tree.
+        it object-for-object across reweights of the same tree, and each
+        derived instance runs its own one-column forward phase.
         """
         clone = InstanceArrays.__new__(InstanceArrays)
         clone.ta = self.ta

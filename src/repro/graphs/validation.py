@@ -7,6 +7,8 @@ is itself 2-edge-connected, i.e. connected and bridgeless.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
 from repro.exceptions import (
@@ -31,7 +33,8 @@ def ensure_weights(graph: nx.Graph, default: float | None = None) -> nx.Graph:
     """Validate edge weights; optionally fill missing ones with ``default``.
 
     Raises :class:`GraphFormatError` on self-loops, missing weights (when no
-    default is given) and non-positive weights.
+    default is given) and weights that are negative, NaN or infinite (the
+    wire's rule: finite and ``>= 0``; ints beyond float range are finite).
     """
     for u, v, data in graph.edges(data=True):
         if u == v:
@@ -42,7 +45,7 @@ def ensure_weights(graph: nx.Graph, default: float | None = None) -> nx.Graph:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}) has no 'weight'")
             data["weight"] = default
             w = default
-        if not (w >= 0):
+        if not (0 <= w < math.inf):
             raise GraphFormatError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
     return graph
 

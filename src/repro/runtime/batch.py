@@ -1,4 +1,4 @@
-"""Scenario-batched solving: many weight columns through one kernel pass.
+"""Scenario-batched solving: many weight columns of one topology.
 
 Monte-Carlo what-if sweeps solve one topology under many weight columns,
 and their perturbations rarely move the MST.
@@ -8,22 +8,17 @@ distinct column (value *and* type,
 :func:`~repro.runtime.handle.weights_token`) is a sparse delta against
 the session's base weights:
 
-1. **Plans** — a column equal to the base solves on the pinned base
-   plan; any other records its exact diff as delta lineage and gets its
-   plan from :meth:`~repro.runtime.plan.SolverPlan.from_delta`, so a
-   plan whose MST is the base's shares the base's tree, layering, HLD,
-   segments, kernel arrays and labeled MST.  Batch plans stay out of the
-   plan LRU and the ``delta_*`` counters.
-2. **Tree groups** — scenarios are grouped by the tree their fast
-   instance is built on, and
-   :func:`repro.fast.forward.forward_phase_fast_batch` runs one
-   ``(scenarios × edges)`` forward pass per group.
-3. **Tails** — each scenario finishes in
-   :meth:`~repro.runtime.session.SolverSession._solve_local` with its
-   forward result passed in (``fwd=``).
+1. **Plans** (``batch.group``) — a column equal to the base solves on
+   the pinned base plan; any other records its exact diff as delta
+   lineage and gets its plan from
+   :meth:`~repro.runtime.plan.SolverPlan.from_delta`, so a plan whose MST
+   is the base's shares the base's tree, layering, HLD, segments, kernel
+   arrays and labeled MST.  Batch plans stay out of the plan LRU and the
+   ``delta_*`` counters, and never pay for a ``weights_key``.
+2. **Solves** (``batch.tails``) — each column runs the one-query path,
+   :meth:`~repro.runtime.session.SolverSession._solve_local`, on its plan.
 
-Every step is the one-query path's own code, or its exact arithmetic on
-a widened array, so each result equals
+Every step is the one-query path's own code, so each result equals
 :meth:`~repro.runtime.session.SolverSession.solve` field for field — held
 by ``tests/test_scenario_batch.py``.
 """
@@ -33,11 +28,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro import obs
-from repro.core.reverse import COVER_BOUND
 from repro.fast import require_numpy
 from repro.runtime.handle import GraphHandle, weights_token
 from repro.runtime.plan import SolverPlan
-from repro.trees.rooted import RootedTree
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.session import SolveQuery, SolverSession
@@ -84,7 +77,7 @@ def solve_scenario_group(
     segmented: bool,
     validate: bool,
 ) -> list[Any]:
-    """Solve one compatible scenario group through the batched kernels.
+    """Solve one compatible scenario group on base-derived plans.
 
     ``queries`` share ``eps``/``variant``/``segmented``/``validate``, the
     local engine, ``k=2``, the fast compute flavor, and carry no failure
@@ -92,10 +85,6 @@ def solve_scenario_group(
     here.  Results come back aligned with ``queries`` and bit-identical to
     the one-query path.
     """
-    from repro.fast.forward import forward_phase_fast_batch
-
-    if variant not in COVER_BOUND:
-        raise ValueError(f"variant must be one of {sorted(COVER_BOUND)}")
     np = require_numpy()
     base = session.handle
 
@@ -117,25 +106,19 @@ def solve_scenario_group(
     base_bits = None
     if all(type(w) is float for w in base.weights):
         base_bits = np.asarray(base.weights, dtype=np.float64).view(np.int64)
-    groups: dict[RootedTree, list[tuple[int, SolverPlan]]] = {}
-    with obs.span("batch.group", scenarios=len(columns)) as group_span:
-        for idx, (handle, types) in enumerate(columns):
+    plans: list[SolverPlan] = []
+    with obs.span("batch.group", scenarios=len(columns)):
+        for handle, types in columns:
             plan = _scenario_plan(session, handle, types, base_bits)
-            tree = plan.instance("fast").tree
-            groups.setdefault(tree, []).append((idx, plan))
-        group_span.set(trees=len(groups))
+            plan.instance("fast")  # derivation books here, not in the solve
+            plans.append(plan)
 
-    eps_prime = eps / COVER_BOUND[variant]
-    results: list[Any] = [None] * len(columns)
-    for members in groups.values():
-        with obs.span("batch.forward", scenarios=len(members)):
-            fwds = forward_phase_fast_batch(
-                [plan.instance("fast") for _, plan in members], eps=eps_prime
+    with obs.span("batch.tails", scenarios=len(columns)):
+        results = [
+            session._solve_local(
+                plan, eps, variant, segmented, validate, "fast",
+                simulate_mst=False,
             )
-        with obs.span("batch.tails", scenarios=len(members)):
-            for (idx, plan), fwd in zip(members, fwds):
-                results[idx] = session._solve_local(
-                    plan, eps, variant, segmented, validate, "fast",
-                    simulate_mst=False, fwd=fwd,
-                )
+            for plan in plans
+        ]
     return [results[at] for at in scenario_of]

@@ -27,6 +27,7 @@ per-weights :class:`~repro.runtime.plan.SolverPlan` cache.
 from __future__ import annotations
 
 import hashlib
+import math
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 
@@ -149,8 +150,9 @@ class GraphHandle:
         to floats — keys may use the original node labels or the
         normalized ids, in either endpoint order.  Weights must satisfy
         the same rule as :func:`~repro.graphs.validation.ensure_weights`
-        (``w >= 0``); topology-derived caches (diameter, feasibility) are
-        shared with this handle, so no re-validation happens.
+        (finite and ``>= 0``); topology-derived caches (diameter,
+        feasibility) are shared with this handle, so no re-validation
+        happens.
         """
         if isinstance(weights, Mapping):
             column = self._column_from_mapping(weights)
@@ -163,14 +165,17 @@ class GraphHandle:
                 )
         # Fast C-speed scan first; only a failing column pays the
         # per-edge diagnostic loop that names the offending edge.  ``min``
-        # catches negatives, the sum's self-comparison catches NaN (which
-        # ``min`` can miss mid-sequence); non-negative floats cannot sum
-        # to NaN otherwise.  A non-numeric weight raises TypeError from
-        # the arithmetic, as the comparison did before.
+        # catches negatives and ``max`` infinities (not the sum: finite
+        # floats can sum to inf); the sum's self-comparison catches NaN
+        # (which ``min`` and ``max`` can miss mid-sequence); non-negative
+        # floats cannot sum to NaN otherwise.  A non-numeric weight raises
+        # TypeError from the arithmetic, as the comparison did before.
         total = sum(column)
-        if not (min(column) >= 0 and total == total):
+        if not (
+            min(column) >= 0 and max(column) < math.inf and total == total
+        ):
             for (u, v), w in zip(self.edges, column):
-                if not (w >= 0):
+                if not (0 <= w < math.inf):
                     raise GraphFormatError(
                         f"edge ({self.nodes[u]!r}, {self.nodes[v]!r}) has "
                         f"invalid weight {w!r}"
@@ -204,7 +209,7 @@ class GraphHandle:
             )
         changes = self._resolve_sparse_mapping(changed)
         for i, w in changes.items():
-            if not (w >= 0):
+            if not (0 <= w < math.inf):
                 u, v = self.edges[i]
                 raise GraphFormatError(
                     f"edge ({self.nodes[u]!r}, {self.nodes[v]!r}) has "

@@ -11,10 +11,11 @@ weight assignment) and exposes:
   artifact a previous solve already built;
 * :meth:`SolverSession.solve_many` — the one batch entry point: a list
   of :class:`SolveQuery` records (or kwargs dicts), results in input
-  order.  Compatible fast-backend scenarios run as one scenario-axis
-  kernel pass (:mod:`repro.runtime.batch`); everything else is solved one
-  query at a time against the shared plan cache.  The scenario sweeps
-  (:mod:`repro.analysis.sweep`) and the serve workers drive it.
+  order.  Compatible fast-backend scenarios solve on plans derived from
+  the pinned base plan (:mod:`repro.runtime.batch`); everything else is
+  solved one query at a time against the shared plan cache.  The
+  scenario sweeps (:mod:`repro.analysis.sweep`) and the serve workers
+  drive it.
 
 **Bit-identity contract.**  A session solve returns exactly what the
 one-shot API returns for the same parameters — same edges, weights, duals,
@@ -456,11 +457,9 @@ class SolverSession:
         validate: bool,
         flavor: str,
         simulate_mst: bool,
-        fwd: Any = None,
     ) -> Any:
         """The centralized solve path over a plan's shared instance.
 
-        A given ``fwd`` (the scenario batch's) skips the forward phase.
         ``simulate_mst`` runs Borůvka message-level and raises
         :class:`~repro.exceptions.InvariantViolation` if its tree differs
         from the plan's MST, as the strict dist pipeline does.
@@ -480,7 +479,7 @@ class SolverSession:
         with obs.span("solve.tap", backend=flavor):
             fwd, rev = solve_virtual_tap(
                 inst, eps=eps, variant=variant, segmented=segmented,
-                validate=validate, backend=flavor, fwd=fwd,
+                validate=validate, backend=flavor,
             )
         with obs.span("solve.assemble"):
             tap = assemble_tap_result(
@@ -540,9 +539,12 @@ class SolverSession:
             return None
 
     def _vectorizable(self, query: SolveQuery) -> bool:
-        """Whether a query can join a scenario-vectorized kernel batch.
+        """Whether a query can join a scenario group.
 
-        The batched path covers the bread-and-butter scenario sweep:
+        A group's columns get plans derived from the pinned base plan by
+        their diff, outside the plan LRU and without a ``weights_key``
+        fingerprint of each column.  The group path covers the
+        bread-and-butter scenario sweep:
         local engine, ``k=2``, dense-or-default weights, no failure
         plan, no MST simulation, and a compute backend resolving to
         ``fast``.  Anything else — including a backend whose resolution
@@ -574,15 +576,17 @@ class SolverSession:
         Each query is a :class:`SolveQuery` or a kwargs mapping (unknown
         mapping keys raise a one-line error naming the valid fields).
         Queries that agree on ``(eps, variant, segmented, validate)`` and
-        are :meth:`_vectorizable` run as one scenario-axis kernel batch
+        are :meth:`_vectorizable` form one scenario group
         (:mod:`repro.runtime.batch`) when there are at least two of them:
-        one MST/instance structure per distinct tree and a single
-        ``(scenarios × edges)`` forward phase, bit-identical per scenario
-        to :meth:`solve`.  Everything else — sim engine, ``k > 2``,
-        failure plans, sparse deltas, non-fast backends, and singleton
-        groups — is solved one query at a time through the plan LRU;
-        queries whose weight inputs match (value and type) share one plan
-        lookup, so a 100-scenario eps/weight sweep builds each plan's
+        each distinct column's plan is derived from the pinned base plan
+        by its diff — sharing the base's tree structure when the MST is
+        kept, and skipping the plan LRU and its per-column ``weights_key``
+        fingerprint — then solved on the one-query path, bit-identical
+        per scenario to :meth:`solve`.  Everything else — sim engine,
+        ``k > 2``, failure plans, sparse deltas, non-fast backends, and
+        singleton groups — is solved one query at a time through the plan
+        LRU; queries whose weight inputs match (value and type) share one
+        plan lookup, so a 100-scenario eps/weight sweep builds each plan's
         artifacts exactly once.  The ``vectorized_batches`` /
         ``scalar_fallback`` counters (see :meth:`stats`) record the
         routing.

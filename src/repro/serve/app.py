@@ -452,9 +452,9 @@ class ServeApp:
 
     async def _metrics(self) -> dict:
         workers = await self.pool.stats()
-        # The scenario-vectorization counter pair, summed over every live
-        # session on every shard: how many coalesced batches ran as fused
-        # kernel passes vs how many queries fell back to the scalar path.
+        # The scenario-batch counter pair, summed over every live session
+        # on every shard: how many coalesced batches ran as scenario
+        # groups vs how many queries fell back to the one-query path.
         solver = {"vectorized_batches": 0, "scalar_fallback": 0}
         for worker in workers:
             for session in worker.get("sessions", []):

@@ -25,7 +25,8 @@ Four traffic modes:
 * **montecarlo** — closed-loop workers hammering **one** topology with
   ``/v1/solve_batch`` requests of ``batch`` weight-perturbation scenarios
   each (``drift_edges`` of the edges scaled up per scenario) — the
-  what-if sweep shape the scenario-vectorized solve path exists for.
+  what-if sweep shape :meth:`~repro.runtime.session.SolverSession.solve_many`
+  groups, solving each column on a plan derived from the base plan.
   With ``binary=True`` the weight columns ride the binary frame encoding
   (:func:`repro.serve.protocol.pack_frame`) instead of JSON decimal text,
   and responses are requested framed too.
@@ -603,7 +604,7 @@ async def _run(cfg: LoadgenConfig) -> dict:
         )
     wall = time.perf_counter() - t0
     # One /metrics poll after the run: surface the server's scenario-
-    # vectorization routing counters next to the client-side tallies.
+    # batch routing counters next to the client-side tallies.
     solver = {"vectorized_batches": 0, "scalar_fallback": 0}
     probe = HttpClient(cfg.host, cfg.port)
     try:

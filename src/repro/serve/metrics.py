@@ -78,7 +78,7 @@ class SizeHistogram:
     the first bucket with ``s <= bound``.  Same allocation-free design as
     :class:`LatencyHistogram`, used by ``/metrics`` to show how well the
     micro-batcher is actually coalescing (the precondition for the
-    scenario-vectorized solve path to see multi-query batches).
+    scenario-batched solve path to see multi-query batches).
     """
 
     #: Inclusive upper bounds; sizes above the last bound land in +inf.

@@ -198,12 +198,12 @@ def _session_for(topology: str, graph: dict | None):
 
 
 def _solve_on_session(session, requests: list[SolveRequest]) -> list[dict]:
-    """Solve a coalesced batch on one session, kernel-fused when possible.
+    """Solve a coalesced batch on one session.
 
     The batch goes through
     :meth:`~repro.runtime.session.SolverSession.solve_many`: compatible
     requests (same eps/variant/validate, local engine, ``k=2``, fast
-    compute) run as one scenario-axis kernel pass, the rest take the
+    compute) solve on plans derived from the base plan, the rest take the
     one-query path — bit-identical either way.  Per-request translation
     errors (bad failure spec, wrong weights length) are isolated up
     front; if the joint call fails, the batch degrades to per-request

@@ -309,16 +309,25 @@ class TestReweightDelta:
             self.handle.reweight_delta({(u, v): 1.0, (v, u): 2.0})
 
     def test_nan_rejected(self):
-        """Satellite: NaN weights are rejected everywhere, never hashed."""
+        """NaN and infinite weights are rejected everywhere, never hashed."""
         (u, v) = next(iter(self.graph.edges()))
-        with pytest.raises(GraphFormatError):
-            self.handle.reweight_delta({(u, v): math.nan})
-        with pytest.raises(GraphFormatError):
-            self.handle.reweight({(u, v): math.nan})
-        bad = self.graph.copy()
-        bad[u][v]["weight"] = math.nan
-        with pytest.raises(GraphFormatError):
-            GraphHandle.from_graph(bad)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GraphFormatError):
+                self.handle.reweight_delta({(u, v): bad})
+            with pytest.raises(GraphFormatError):
+                self.handle.reweight({(u, v): bad})
+            column = list(self.handle.weights)
+            column[-1] = bad
+            with pytest.raises(GraphFormatError):
+                self.handle.reweight(column)
+            bad_graph = self.graph.copy()
+            bad_graph[u][v]["weight"] = bad
+            with pytest.raises(GraphFormatError):
+                GraphHandle.from_graph(bad_graph)
+        # Ints beyond float range are finite weights.
+        column = [1] * (self.handle.m - 1) + [10 ** 400]
+        assert self.handle.reweight(column).weights[-1] == 10 ** 400
+        assert self.handle.reweight_delta({(u, v): 10 ** 400}) is not None
 
     def test_signed_zero_canonicalized(self):
         """Satellite: -0.0 == 0.0 must fingerprint identically."""

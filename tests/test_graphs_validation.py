@@ -46,7 +46,9 @@ class TestEnsureWeights:
         ensure_weights(g, default=2.5)
         assert g[0][1]["weight"] == 2.5
 
-    @pytest.mark.parametrize("bad", [-1.0, float("nan"), None])
+    @pytest.mark.parametrize(
+        "bad", [-1.0, float("nan"), float("inf"), None]
+    )
     def test_invalid_weights(self, bad):
         g = nx.Graph()
         g.add_edge(0, 1, weight=bad)

@@ -84,3 +84,44 @@ def test_incorrect_base_run_is_an_error_not_a_pass():
     assert found == [
         "drift_resolve: base run 0 is not correct (1 of 40 ops failed)"
     ]
+
+
+def rows(base: list, head: list) -> dict:
+    """``{metric name: its table row}`` for one comparison."""
+    found = perf_ab.compare(SPEC, "drift_resolve", base, head)[0]
+    return {row.split()[0]: row for row in found}
+
+
+def test_rows_count_the_pairs_head_reads_better():
+    base, head = runs(), runs()
+    # HEAD better in pairs 0-3, worse in 4-5, tied in the rest.
+    for i in range(4):
+        head[i]["metrics"]["latency_ms.p50"]["value"] *= 0.99
+        head[i]["metrics"]["throughput_ops_s"]["value"] *= 1.01
+    for i in (4, 5):
+        head[i]["metrics"]["latency_ms.p50"]["value"] *= 1.01
+    table = rows(base, head)
+    assert "HEAD better in 4/10 pairs" in table["latency_ms.p50"]
+    assert "HEAD better in 4/10 pairs" in table["throughput_ops_s"]
+    assert "HEAD better in 0/10 pairs" in table["success_rate"]
+
+
+def _spread(lines: list, name: str, values: list) -> list:
+    """``lines`` with ``name`` set to ``values``, one per run."""
+    for line, value in zip(lines, values):
+        line["metrics"][name]["value"] = value
+    return lines
+
+
+def test_wide_base_spread_is_unresolved_unless_head_wins_every_run():
+    name = "latency_ms.p50"
+    wide = [100.0, 200.0, 150.0, 250.0, 120.0, 220.0, 180.0, 130.0, 240.0,
+            160.0]
+    base = _spread(runs(), name, wide)
+    overlapping = _spread(runs(), name, [w * 0.95 for w in wide])
+    assert rows(base, overlapping)[name].endswith("unresolved")
+    clear = _spread(runs(), name, [95.0 - i for i in range(perf_ab.PAIRS)])
+    row = rows(base, clear)[name]
+    assert row.endswith("ok") and "HEAD better in 10/10 pairs" in row
+    # Neither verdict changes the gate.
+    assert failures(base, overlapping) == failures(base, clear) == []

@@ -8,11 +8,10 @@ Three contracts, all bit-identity shaped:
   compute backend as the session default, with mixed-parameter batches
   split into the right groups and everything non-vectorizable taking the
   one-query path;
-* each kernel gives the same answer on one row, on row ``s`` of a
-  many-row stack, and in the reference tree structures; the one MST
-  builder (:func:`repro.core.tecss.stable_kruskal_mst`) equals
-  ``nx.minimum_spanning_tree``; the one fast forward phase equals the
-  reference forward phase;
+* each kernel gives the same answer as the reference tree structures;
+  the one MST builder (:func:`repro.core.tecss.stable_kruskal_mst`)
+  equals ``nx.minimum_spanning_tree``; the one fast forward phase equals
+  the reference forward phase on plans derived from a base plan;
 * the ``RPF1`` binary frame codec round-trips, rejects malformed bytes
   with the structured ``bad-frame`` error, and a framed HTTP response
   decodes to the byte-identical JSON body a plain client receives.
@@ -26,9 +25,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fast import HAVE_NUMPY
-from repro.graphs.families import make_family_instance
+from repro.graphs.families import FAMILIES, make_family_instance
 from repro.runtime.session import SolveQuery, SolverSession
 from repro.serve.protocol import (
     FRAME_CONTENT_TYPE,
@@ -235,6 +235,82 @@ def test_every_derivation_outcome_matches_solve(base_type, monkeypatch):
     assert type(batched[-1].mst_weight) is other_type
 
 
+#: Weight pools with exact ties and zero weights, narrow enough that the
+#: float64 certificates hold on every drawn column.
+WEIGHTS = {
+    int: st.integers(0, 20),
+    float: st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.5, 16.0),
+}
+
+
+@st.composite
+def scenario_batches(draw):
+    """A family graph, a base column and 2-6 columns to solve against it.
+
+    A column is the base itself (``None``: the query names no weights),
+    a copy of an earlier column, a freshly drawn one, or the base with
+    some non-tree edges scaled down and some tree edges scaled up, so
+    the MST moves.
+    """
+    from repro.core.tecss import stable_kruskal_mst
+    from repro.runtime.handle import GraphHandle
+
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    graph = make_family_instance(
+        family, draw(st.integers(6, 60)), seed=draw(st.integers(0, 1 << 16))
+    )
+    handle = GraphHandle.from_graph(graph)
+    kind = draw(st.sampled_from([int, float]))
+    weight = WEIGHTS[kind]
+    base = draw(st.lists(weight, min_size=handle.m, max_size=handle.m))
+    mst, _ = stable_kruskal_mst(handle.n, handle.edges, base)
+    in_mst = set(mst)
+    factor = 4 if kind is int else 4.0
+    columns: list = []
+    for _ in range(draw(st.integers(2, 6))):
+        how = draw(st.sampled_from(["base", "copy", "drawn", "moved"]))
+        if how == "base":
+            columns.append(None)
+        elif how == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif how == "moved":
+            moved = draw(st.lists(
+                st.integers(0, handle.m - 1), min_size=1, unique=True,
+            ))
+            column = list(base)
+            for i in moved:
+                if tuple(sorted(handle.edges[i])) in in_mst:
+                    column[i] = column[i] * factor + 1
+                else:
+                    column[i] = column[i] // factor if kind is int else (
+                        column[i] / factor
+                    )
+            columns.append(column)
+        else:
+            columns.append(draw(st.lists(
+                weight, min_size=handle.m, max_size=handle.m
+            )))
+    return handle.reweight(base), columns
+
+
+@needs_numpy
+@settings(max_examples=60, deadline=None)
+@given(case=scenario_batches())
+def test_solve_many_equals_looped_solve(case):
+    """``solve_many`` on the fast backend == one ``solve()`` per query."""
+    handle, columns = case
+    queries = [
+        {"eps": 0.5} if column is None else {"eps": 0.5, "weights": column}
+        for column in columns
+    ]
+    session = SolverSession(handle, backend="fast")
+    batched = session.solve_many(queries)
+    assert session.stats()["vectorized_batches"] == 1
+    single = SolverSession(handle, backend="fast")
+    for query, result in zip(queries, batched):
+        assert_results_equal(result, single.solve(**query))
+
+
 @needs_numpy
 def test_big_integer_columns_keep_the_exact_mst():
     """Integer weights past 2**53 rank exactly in the batch's MST.
@@ -377,19 +453,16 @@ def test_ancestor_sums_rows_match_reference():
 
     ta, ops, _ = _kernel_fixture("cycle_chords", 30, seed=6)
     rng = np.random.default_rng(12)
-    stack = rng.uniform(-4.0, 4.0, size=(5, ta.n))
-    stack[2] = 0.0  # a row holding only the identity
-    many = ta.ancestor_sums(stack)
-    assert many.shape == stack.shape
-    for s in range(len(stack)):
-        one = ta.ancestor_sums(stack[s])
-        assert np.array_equal(one, many[s])
-        assert np.array_equal(ta.ancestor_sums(stack[s:s + 1])[0], one)
-        assert one.tolist() == ops.ancestor_sums(stack[s].tolist())
+    rows = rng.uniform(-4.0, 4.0, size=(5, ta.n))
+    rows[2] = 0.0  # a row holding only the identity
+    for row in rows:
+        assert ta.ancestor_sums(row).tolist() == ops.ancestor_sums(
+            row.tolist()
+        )
 
 
 @needs_numpy
-def test_coverage_counts_2d_matches_scalar_counter():
+def test_coverage_counts_match_scalar_counter():
     import numpy as np
 
     from repro.trees.pathops import CoverageCounter
@@ -397,23 +470,18 @@ def test_coverage_counts_2d_matches_scalar_counter():
     ta, ops, arrays = _kernel_fixture("grid", 16, seed=8)
     rng = random.Random(13)
     m = len(arrays.dec)
-    counters = []
-    stack = np.zeros((4, ta.n), dtype=np.int64)
-    for s in range(len(stack)):
+    for s in range(4):
         counter = CoverageCounter(ops)
+        delta = np.zeros(ta.n, dtype=np.int64)
         # Row 1 holds only the identity: no path, zero delta.
         for eid in rng.sample(range(m), max(2, m // 3)) if s != 1 else []:
             dec, anc = int(arrays.dec[eid]), int(arrays.anc[eid])
             counter.add_path(dec, anc)
-            stack[s, dec] += 1
-            stack[s, anc] -= 1
-        counters.append(counter)
-    many = ta.subtree_counts(stack)
-    for s, counter in enumerate(counters):
-        one = ta.subtree_counts(stack[s])
-        assert np.array_equal(one, many[s])
+            delta[dec] += 1
+            delta[anc] -= 1
+        counts = ta.subtree_counts(delta)
         for v in ta.tree.tree_edges():
-            assert int(one[v]) == counter.count(v)
+            assert int(counts[v]) == counter.count(v)
 
 
 @needs_numpy
@@ -433,13 +501,11 @@ def test_path_chmin_rows_match_reference():
     keys = rng.integers(0, 3, size=(3, m)) * m + np.arange(m)
     keys[0, rng.uniform(size=m) < 0.5] = INT_SENTINEL
     keys[2] = INT_SENTINEL
-    for stack, identity in ((floats, np.inf), (keys, INT_SENTINEL)):
-        many = ta.path_chmin(dec, anc, stack, identity)
-        assert many.shape == (len(stack), ta.n)
-        for s, row in enumerate(stack):
+    for rows, identity in ((floats, np.inf), (keys, INT_SENTINEL)):
+        for row in rows:
             sel = np.flatnonzero(row != identity)
             one = ta.path_chmin(dec[sel], anc[sel], row[sel], identity)
-            assert np.array_equal(one, many[s])
+            assert one.shape == (ta.n,)
             assert np.array_equal(ta.path_chmin(dec, anc, row, identity), one)
             if identity is np.inf:
                 ref = ops.chmin_over_paths(
@@ -465,10 +531,15 @@ def test_path_chmin_rows_match_reference():
 
 
 @needs_numpy
-def test_batched_forward_matches_scalar_forward():
-    """The one fast forward phase equals the reference, at S=1 and S=4."""
+def test_fast_forward_matches_reference_on_derived_instances():
+    """The fast forward phase equals the reference on derived plans.
+
+    One diff scales non-tree edges up, so the MST is kept and the fast
+    instance is the base's with its weight column patched; the other
+    makes a tree edge the heaviest, so the MST moves and the instance is
+    built on the new tree.
+    """
     from repro.core.forward import forward_phase
-    from repro.fast.forward import forward_phase_fast_batch
     from repro.runtime.handle import GraphHandle
     from repro.runtime.plan import SolverPlan
 
@@ -476,27 +547,24 @@ def test_batched_forward_matches_scalar_forward():
     base = GraphHandle.from_graph(graph)
     base_plan = SolverPlan(base)
     mst_set = set(base_plan.mst_edges)
-    # Scale up only non-tree edges: the MST (and therefore the shared
-    # structure every scenario derives from) is provably unchanged.
-    nontree = [
-        e for e in base.edges if tuple(sorted(e)) not in mst_set
-    ]
+    nontree = [e for e in base.edges if tuple(sorted(e)) not in mst_set]
+    tree_edge = next(e for e in base.edges if tuple(sorted(e)) in mst_set)
     rng = random.Random(22)
+    kept = {
+        e: base.weights[base._pair_index[e]] * rng.uniform(1.0, 2.5)
+        for e in rng.sample(nontree, max(1, len(nontree) // 4))
+    }
+    moved = {tree_edge: 10.0 * max(base.weights)}
     instances = [base_plan.instance("fast")]
-    for _ in range(3):
-        diff = {
-            e: base.weights[base._pair_index[e]] * rng.uniform(1.0, 2.5)
-            for e in rng.sample(nontree, max(1, len(nontree) // 4))
-        }
+    for diff, mode in ((kept, "reused"), (moved, "swapped")):
         plan = SolverPlan.from_delta(base_plan, base.reweight_delta(diff))
-        assert plan.delta_info["mode"] == "reused"
+        assert plan.delta_info["mode"] == mode
         instances.append(plan.instance("fast"))
-    for stack in (instances[1:2], instances):
-        batch = forward_phase_fast_batch(stack, eps=0.25)
-        assert len(batch) == len(stack)
-        for inst, fwd in zip(stack, batch):
-            ref = forward_phase(inst, eps=0.25, backend="reference")
-            assert_results_equal(fwd, ref)
+    assert instances[1].tree is instances[0].tree
+    assert instances[2].tree is not instances[0].tree
+    for inst in instances:
+        fwd = forward_phase(inst, eps=0.25, backend="fast")
+        assert_results_equal(fwd, forward_phase(inst, eps=0.25))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import networkx as nx
 import pytest
 
 import repro
 from repro.core.tap import approximate_tap
-from repro.core.tecss import approximate_two_ecss, rooted_mst
-from repro.exceptions import NotTwoEdgeConnectedError
+from repro.core.tecss import approximate_two_ecss, assemble_two_ecss, rooted_mst
+from repro.exceptions import InvariantViolation, NotTwoEdgeConnectedError
 from repro.graphs import (
     cycle_with_chords,
     erdos_renyi_2ec,
@@ -120,6 +122,33 @@ class TestTwoEcss:
             g[u][v]["weight"] = 1.0
         with pytest.raises(NotTwoEdgeConnectedError):
             approximate_two_ecss(g)
+
+    def test_bridged_result_is_a_solver_fault(self):
+        """A bridged result fails validation as the solver's fault.
+
+        The input is 2-edge-connected; dropping the augmentation's links
+        leaves the bare MST, whose bridge is named in the caller's labels
+        and served as a 500 ``solver-error``, not a 422 on the input.
+        """
+        from repro.runtime.handle import GraphHandle
+        from repro.runtime.plan import SolverPlan
+        from repro.serve.workers import error_item_from_exception
+
+        g = nx.relabel_nodes(nx.cycle_graph(6), lambda i: f"v{i}")
+        g.add_edge("v0", "v3")
+        nx.set_edge_attributes(g, 1.0, "weight")
+        plan = SolverPlan(GraphHandle.from_graph(g))
+        tap = approximate_two_ecss(g).augmentation
+        bare = dataclasses.replace(tap, links=[], weight=0.0)
+        with pytest.raises(
+            InvariantViolation, match=r"bridge \('v\d', 'v\d'\)"
+        ) as excinfo:
+            assemble_two_ecss(
+                plan.g, plan.nodes, plan.mst_edges, bare,
+                diameter=plan.diameter,
+            )
+        item = error_item_from_exception(excinfo.value)
+        assert (item["status"], item["error"]["code"]) == (500, "solver-error")
 
     def test_guarantee_values(self):
         g = cycle_with_chords(25, 10, seed=8)

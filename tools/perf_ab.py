@@ -18,6 +18,12 @@ of any end-to-end metric is worse than the base median by more than the
 metric's ``bound`` in its ``better`` direction.  Run length, bounds and
 directions all come from ``BENCHMARK.json``; the gate has no threshold of
 its own.
+
+Each metric's row also reports in how many pairs the HEAD run read
+better than its base run (ties count for neither side), and labels the
+metric ``unresolved`` when the base runs spread wider than the bound,
+unless every HEAD run reads better than every base run.  Neither changes
+the exit status.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ def worsening(base: float, head: float, better: str) -> float:
     return 0.0 if change <= 0 else float("inf")
 
 
+def reads_better(a: float, b: float, better: str) -> bool:
+    """Whether ``a`` reads strictly better than ``b`` in direction ``better``."""
+    return a < b if better == "lower" else a > b
+
+
 def compare(spec: dict, workload: str, base: list, head: list) -> tuple:
     """Judge one workload's runs: ``(table rows, failures)``.
 
@@ -96,8 +107,15 @@ def compare(spec: dict, workload: str, base: list, head: list) -> tuple:
         ]
         if not all(sides):
             continue  # only runs that crashed: reported as not correct
+        better = metric["better"]
+        pairs = [
+            (b["metrics"][name]["value"], h["metrics"][name]["value"])
+            for b, h in zip(base, head)
+            if name in b["metrics"] and name in h["metrics"]
+        ]
+        wins = sum(reads_better(h, b, better) for b, h in pairs)
         (bq1, bmed, bq3), (hq1, hmed, hq3) = map(quartiles, sides)
-        worse = worsening(bmed, hmed, metric["better"])
+        worse = worsening(bmed, hmed, better)
         verdict = "WORSE" if worse > metric["bound"] else "ok"
         if verdict == "WORSE":
             failures.append(
@@ -105,14 +123,17 @@ def compare(spec: dict, workload: str, base: list, head: list) -> tuple:
                 f"{worse:+.1%} worse than base {bmed:.4g} "
                 f"(bound {metric['bound']:.0%})"
             )
-        elif (bq3 - bq1) / abs(bmed or 1.0) > metric["bound"]:
+        elif (bq3 - bq1) / abs(bmed or 1.0) > metric["bound"] and not all(
+            reads_better(h, b, better) for h in sides[1] for b in sides[0]
+        ):
             verdict = "unresolved"  # base spread wider than the bound
         base_iqr = f"[{bq1:.4g}, {bq3:.4g}]"
         head_iqr = f"[{hq1:.4g}, {hq3:.4g}]"
         rows.append(
             f"  {name:<18} base {bmed:>9.4g} {base_iqr:<20} "
             f"HEAD {hmed:>9.4g} {head_iqr:<20} "
-            f"{worse:+7.1%} worse (bound {metric['bound']:.0%})  {verdict}"
+            f"{worse:+7.1%} worse (bound {metric['bound']:.0%})  "
+            f"HEAD better in {wins}/{len(pairs)} pairs  {verdict}"
         )
     return rows, failures
 
