@@ -27,11 +27,19 @@ perfbench-test:
 example:
 	PYTHONPATH=src $(PYTHON) examples/congest_simulation.py
 
-# Serving smoke: a 10s zipf loadgen burst against a spawned sharded
-# server asserting zero protocol errors (CI serve-smoke).
+# Serving smoke: CI's serve-smoke job, three 10s loadgen bursts against a
+# spawned sharded server, each asserting zero protocol and transport
+# errors: zipf /v1/solve traffic, sparse /v1/delta drift, and binary-framed
+# /v1/solve_batch Monte-Carlo batches.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --spawn --spawn-workers 2 \
 	    --duration 10 --size 80 --topologies 6 --concurrency 4 --check
+	PYTHONPATH=src $(PYTHON) -m repro loadgen --mode drift --spawn \
+	    --spawn-workers 2 --duration 10 --size 80 --topologies 4 \
+	    --concurrency 4 --check
+	PYTHONPATH=src $(PYTHON) -m repro loadgen --mode montecarlo --binary \
+	    --spawn --spawn-workers 2 --duration 10 --size 80 --topologies 1 \
+	    --scenarios 16 --batch 8 --concurrency 2 --check
 
 # Docs gate: relative links in docs/ + README resolve; dotted repro.*
 # references in README, docs/ and src/repro resolve; modules, public

@@ -541,24 +541,17 @@ def run_loadgen_cli(argv: list[str]) -> int:
             f"latency ms: mean {lat['mean']} p50 {lat['p50']} "
             f"p90 {lat['p90']} p99 {lat['p99']} max {lat['max']}"
         )
+        frames = (
+            f", binary frames {summary['frames']}"
+            if summary.get("frames") else ""
+        )
         print(
             f"errors: protocol {summary['protocol_errors']}, transport "
             f"{summary['transport_errors']} (codes: "
             f"{summary['error_codes'] or '-'}); batch size mean "
             f"{summary['batch_size']['mean']} max "
-            f"{summary['batch_size']['max']}"
+            f"{summary['batch_size']['max']}{frames}"
         )
-        solver = summary.get("solver") or {}
-        frames = (
-            f", binary frames {summary['frames']}"
-            if summary.get("frames") else ""
-        )
-        if solver:
-            print(
-                "solver: vectorized batches "
-                f"{solver.get('vectorized_batches', 0)}, scalar fallback "
-                f"{solver.get('scalar_fallback', 0)}{frames}"
-            )
         phases = summary.get("server_phases_ms") or {}
         if phases:
             print("server phases (mean ms per occurrence):")

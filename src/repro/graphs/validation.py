@@ -7,7 +7,7 @@ is itself 2-edge-connected, i.e. connected and bridgeless.
 
 from __future__ import annotations
 
-import math
+import sys
 
 import networkx as nx
 
@@ -19,6 +19,7 @@ from repro.exceptions import (
 )
 
 __all__ = [
+    "valid_weight",
     "ensure_weights",
     "find_bridges",
     "is_two_edge_connected",
@@ -29,12 +30,24 @@ __all__ = [
 ]
 
 
+def valid_weight(w: float) -> bool:
+    """The one weight rule: ``0 <= w <= sys.float_info.max``.
+
+    NaN, infinities, negatives and ints beyond float range fail it: the
+    solvers compute in float64, so a weight must lie in its finite
+    non-negative range.  The library (:func:`ensure_weights`,
+    :meth:`repro.runtime.handle.GraphHandle.reweight`) and the wire
+    (:mod:`repro.serve.protocol`) all apply this rule.  A non-numeric
+    ``w`` raises ``TypeError`` from the comparison.
+    """
+    return 0 <= w <= sys.float_info.max
+
+
 def ensure_weights(graph: nx.Graph, default: float | None = None) -> nx.Graph:
     """Validate edge weights; optionally fill missing ones with ``default``.
 
     Raises :class:`GraphFormatError` on self-loops, missing weights (when no
-    default is given) and weights that are negative, NaN or infinite (the
-    wire's rule: finite and ``>= 0``; ints beyond float range are finite).
+    default is given) and weights that fail :func:`valid_weight`.
     """
     for u, v, data in graph.edges(data=True):
         if u == v:
@@ -45,7 +58,7 @@ def ensure_weights(graph: nx.Graph, default: float | None = None) -> nx.Graph:
                 raise GraphFormatError(f"edge ({u!r}, {v!r}) has no 'weight'")
             data["weight"] = default
             w = default
-        if not (0 <= w < math.inf):
+        if not valid_weight(w):
             raise GraphFormatError(f"edge ({u!r}, {v!r}) has invalid weight {w!r}")
     return graph
 

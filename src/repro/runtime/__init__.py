@@ -16,7 +16,10 @@ plan once:
   lazily, each exactly once;
 * :class:`~repro.runtime.session.SolverSession` — ``solve`` /
   ``solve_many`` over an LRU of plans, returning results **bit-identical**
-  to the one-shot API (which is now a thin wrapper over a fresh session);
+  to the one-shot API (which is now a thin wrapper over a fresh session).
+  Every weight column other than the session's own — a full column, a
+  sparse delta, one query of a batch — takes one plan path: its plan is
+  derived from the pinned base plan by its diff;
 * :mod:`~repro.runtime.registry` — the
   :class:`~repro.runtime.registry.BackendSpec` registry unifying the old
   ``backend=``/``engine=`` strings into registered execution backends
@@ -35,8 +38,7 @@ Quick use::
 
 This is the architectural seam the scaling layers plug into: the serving
 subsystem (:mod:`repro.serve`) shards topologies across worker processes
-and coalesces concurrent requests into ``solve_many`` batches on warm
-sessions; :meth:`~repro.runtime.session.SolverSession.stats` exposes the
+and coalesces concurrent requests into batches solved on warm sessions; :meth:`~repro.runtime.session.SolverSession.stats` exposes the
 plan-cache accounting (hits/misses/evictions, per-phase build times) its
 ``/metrics`` route and ``python -m repro sweep --debug`` surface.
 """

@@ -17,59 +17,47 @@ handle is *immutable*: :meth:`reweight` returns a **new** handle sharing
 the topology (and every topology-derived cache, e.g. :attr:`diameter` and
 the feasibility verdict) while swapping only the weight column — the cheap
 operation that makes many-scenario solves
-(:meth:`repro.runtime.session.SolverSession.solve_many`) practical.
+(:meth:`repro.runtime.session.SolverSession.solve_many`) practical.  The
+new handle records its diff against its source
+(:attr:`GraphHandle.delta_base`, :attr:`GraphHandle.delta_changes`), from
+which the plan layer derives its plan from the source's; an unchanged
+column returns the source itself.
 
 Fingerprints: :attr:`topology_key` identifies the (labels, edge list)
-structure and :attr:`weights_key` the weight column; together they key the
-per-weights :class:`~repro.runtime.plan.SolverPlan` cache.
+structure and :func:`weights_token` the weight column; the session's plan
+cache is keyed by the latter.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import networkx as nx
 
 from repro.exceptions import GraphFormatError
+from repro.fast import HAVE_NUMPY, require_numpy
 from repro.graphs.validation import (
     check_two_edge_connected,
     ensure_weights,
     normalize_graph,
+    valid_weight,
 )
 
 __all__ = ["GraphHandle", "weights_token"]
 
 
-def _canonical_weight(w: Any) -> Any:
-    """Collapse ``-0.0`` to ``0.0`` for fingerprinting (see weights_key).
-
-    Only floats are touched: an integer ``0`` stays an integer because the
-    weight's Python type propagates into result types, so ``0`` and ``0.0``
-    are genuinely different weight columns.
-    """
-    return 0.0 if isinstance(w, float) and w == 0.0 else w
-
-
-def weights_token(weights: Any) -> tuple:
-    """A hashable key of a weight column or mapping that tells ``1`` from ``1.0``.
+def weights_token(weights: Sequence) -> tuple:
+    """A hashable key of a weight column that tells ``1`` from ``1.0``.
 
     Tuple equality says ``1 == 1.0``, but a weight's type reaches the
-    result (an integer column gives an integer ``mst_weight``), so
-    batch-local matching of weight inputs compares the values *and* their
-    types.  Mapping values (weight mappings and sparse deltas) are keyed
-    the same way.  Much cheaper than :attr:`GraphHandle.weights_key`,
-    which reprs and hashes the whole column.  Raises ``TypeError`` for
-    unhashable input.
+    result (an integer column gives an integer ``mst_weight``), so the key
+    pairs the values with their types.  ``-0.0 == 0.0``, so the two share
+    a key.
     """
-    if isinstance(weights, Mapping):
-        return (
-            "map", frozenset((key, w, type(w)) for key, w in weights.items())
-        )
     values = tuple(weights)
-    return ("col", values, tuple(map(type, values)))
+    return values, tuple(map(type, values))
 
 
 class GraphHandle:
@@ -102,9 +90,9 @@ class GraphHandle:
         #: instead would lose work computed on a clone afterwards — a
         #: 100-scenario sweep would re-derive the diameter per scenario.)
         self._shared: dict[str, Any] = {}
-        #: For handles built by :meth:`reweight_delta`: the parent handle
-        #: and the effective diff ``{edge_position: new_weight}``.  ``None``
-        #: / empty for handles with no recorded delta lineage.
+        #: For handles built by :meth:`reweight`: the source handle and the
+        #: effective diff ``{edge_position: new_weight}``.  ``None`` / empty
+        #: for handles with no recorded delta lineage.
         self.delta_base: GraphHandle | None = None
         self.delta_changes: dict[int, object] = {}
 
@@ -143,16 +131,21 @@ class GraphHandle:
         self,
         weights: Sequence[float] | Mapping[object, float],
     ) -> "GraphHandle":
-        """A new handle on the same topology with a new weight column.
+        """A handle on the same topology with a new weight column.
 
         ``weights`` is either a sequence aligned with :attr:`edge_list`
         (one float per edge, in handle order) or a mapping from edge keys
         to floats — keys may use the original node labels or the
-        normalized ids, in either endpoint order.  Weights must satisfy
-        the same rule as :func:`~repro.graphs.validation.ensure_weights`
-        (finite and ``>= 0``); topology-derived caches (diameter,
-        feasibility) are shared with this handle, so no re-validation
-        happens.
+        normalized ids, in either endpoint order.  Every weight must pass
+        :func:`~repro.graphs.validation.valid_weight`; topology-derived
+        caches (diameter, feasibility) are shared with this handle, so no
+        re-validation happens.
+
+        The new column is diffed against this handle's: an entry changes
+        when its repr does, so ``5 -> 5.0`` and ``0.0 -> -0.0`` count as
+        changes.  If nothing changes, ``self`` is returned; otherwise the
+        new handle records this one as :attr:`delta_base` and the diff as
+        :attr:`delta_changes` (``{edge_position: new_weight}``).
         """
         if isinstance(weights, Mapping):
             column = self._column_from_mapping(weights)
@@ -165,77 +158,75 @@ class GraphHandle:
                 )
         # Fast C-speed scan first; only a failing column pays the
         # per-edge diagnostic loop that names the offending edge.  ``min``
-        # catches negatives and ``max`` infinities (not the sum: finite
-        # floats can sum to inf); the sum's self-comparison catches NaN
-        # (which ``min`` and ``max`` can miss mid-sequence); non-negative
-        # floats cannot sum to NaN otherwise.  A non-numeric weight raises
-        # TypeError from the arithmetic, as the comparison did before.
-        total = sum(column)
+        # catches negatives and ``max`` infinities and ints beyond float
+        # range; only then is the sum safe from OverflowError, and its
+        # self-comparison catches NaN (which ``min`` and ``max`` can miss
+        # mid-sequence).  A non-numeric weight raises TypeError from the
+        # comparison.
         if not (
-            min(column) >= 0 and max(column) < math.inf and total == total
+            min(column) >= 0 and valid_weight(max(column))
+            and (total := sum(column)) == total
         ):
             for (u, v), w in zip(self.edges, column):
-                if not (0 <= w < math.inf):
+                if not valid_weight(w):
                     raise GraphFormatError(
                         f"edge ({self.nodes[u]!r}, {self.nodes[v]!r}) has "
                         f"invalid weight {w!r}"
                     )
-        return self._clone_with_column(column)
+        changed = self._changed_positions(column)
+        if not changed:
+            return self
+        clone = self._clone_with_column(column)
+        clone.delta_base = self
+        clone.delta_changes = {i: column[i] for i in changed}
+        return clone
 
     def reweight_delta(self, changed: Mapping) -> "GraphHandle":
-        """A new handle applying a *sparse* weight diff against this one.
+        """:meth:`reweight` with a *sparse* weight diff against this handle.
 
         ``changed`` maps edge keys — original labels or normalized ids, in
         either endpoint order, all-or-nothing like :meth:`reweight` — to
         new weights; every key must name an edge of this topology.  The
-        returned handle shares the topology caches, carries the full
-        patched weight column, and records the diff (:attr:`delta_base`,
-        :attr:`delta_changes`) so the plan layer can derive artifacts
-        incrementally instead of rebuilding.  Entries equal to the current
-        weight (same value *and* repr, so ``5 -> 5.0`` and ``0.0 -> -0.0``
-        still count as changes) are dropped; if nothing effectively
-        changes, ``self`` is returned unchanged.
-
-        The fingerprint of the result is derived by patching this handle's
-        per-element repr cache in O(k) instead of re-repring the whole
-        column, and equals the from-scratch content fingerprint — so a
-        delta and its equivalent full-column reweight hit the same cached
-        plan.
+        keys are resolved, patched into this handle's column, and the
+        result goes through :meth:`reweight`, so a delta and the equal
+        full column give equal handles.
         """
         if not isinstance(changed, Mapping):
             raise GraphFormatError(
                 "reweight_delta needs a mapping {edge: new_weight}; for a "
                 "full column use reweight()"
             )
-        changes = self._resolve_sparse_mapping(changed)
-        for i, w in changes.items():
-            if not (0 <= w < math.inf):
-                u, v = self.edges[i]
-                raise GraphFormatError(
-                    f"edge ({self.nodes[u]!r}, {self.nodes[v]!r}) has "
-                    f"invalid weight {w!r}"
-                )
-        changes = {
-            i: w for i, w in changes.items()
-            if repr(w) != repr(self.weights[i])
-        }
-        if not changes:
-            return self
         column = list(self.weights)
-        for i, w in changes.items():
+        for i, w in self._resolve_sparse_mapping(changed).items():
             column[i] = w
-        clone = self._clone_with_column(column)
-        clone.delta_base = self
-        clone.delta_changes = changes
-        # Patch the parent's per-element repr cache in O(k): the clone's
-        # weights_key is then the exact content fingerprint — identical to
-        # a from-scratch handle with the same column — without re-repring
-        # the whole column.
-        reprs = list(self._weight_reprs)
-        for i, w in changes.items():
-            reprs[i] = repr(_canonical_weight(w))
-        clone.__dict__["_weight_reprs"] = reprs
-        return clone
+        return self.reweight(column)
+
+    def _changed_positions(self, column: list) -> list[int]:
+        """Positions where ``column``'s weight repr differs from this one's.
+
+        When both columns hold only floats, equal float64 bits mean equal
+        reprs, so one vectorized compare finds the diff.
+        """
+        bits = self._float_bits
+        if bits is not None and all(type(w) is float for w in column):
+            np = require_numpy()
+            new = np.fromiter(column, dtype=np.float64, count=len(column))
+            return np.flatnonzero(new.view(np.int64) != bits).tolist()
+        return [
+            i for i, (w, b) in enumerate(zip(column, self.weights))
+            if w is not b and repr(w) != repr(b)
+        ]
+
+    @cached_property
+    def _float_bits(self) -> Any:
+        """The column's float64 bits as int64s.
+
+        ``None`` unless numpy is installed and every weight is a float.
+        """
+        if not HAVE_NUMPY or not all(type(w) is float for w in self.weights):
+            return None
+        np = require_numpy()
+        return np.asarray(self.weights, dtype=np.float64).view(np.int64)
 
     def _clone_with_column(self, column: list) -> "GraphHandle":
         """A new handle with ``column`` as weights, sharing topology caches."""
@@ -404,34 +395,6 @@ class GraphHandle:
             self._topology_key = h.hexdigest()
         return self._topology_key
 
-    @cached_property
-    def weights_key(self) -> str:
-        """SHA-1 fingerprint of the weight column (plan-cache key part).
-
-        Hashed over the *canonical* column: ``-0.0`` collapses to ``0.0``
-        (numerically equal weights must not produce distinct cache keys,
-        and ``repr``-hashing would otherwise tell them apart), while the
-        int/float distinction is preserved because weight types propagate
-        into result types.  NaN weights never reach this point — handle
-        validation (:func:`~repro.graphs.validation.ensure_weights`,
-        :meth:`reweight`, :meth:`reweight_delta`) rejects them, so a NaN's
-        unequal-to-itself semantics cannot poison the plan cache.
-
-        The hash runs over the per-element repr cache
-        (:attr:`_weight_reprs`), which :meth:`reweight_delta` patches in
-        O(k) — so a delta-built handle fingerprints in O(join) instead of
-        O(m reprs), yet the key is a pure *content* fingerprint: any two
-        handles with the same canonical column get the same key, however
-        they were built.
-        """
-        joined = ", ".join(self._weight_reprs)
-        return hashlib.sha1(joined.encode()).hexdigest()
-
-    @cached_property
-    def _weight_reprs(self) -> list[str]:
-        """Per-element canonical weight reprs backing :attr:`weights_key`."""
-        return [repr(_canonical_weight(w)) for w in self.weights]
-
     @property
     def _pair_index(self) -> dict[tuple[int, int], int]:
         """Normalized endpoint pair (either order) -> handle edge position.
@@ -451,5 +414,5 @@ class GraphHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GraphHandle(n={self.n}, m={self.m}, "
-            f"topology={self.topology_key[:8]}, weights={self.weights_key[:8]})"
+            f"topology={self.topology_key[:8]})"
         )

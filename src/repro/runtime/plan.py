@@ -23,9 +23,11 @@ exactly once from the handle's flat edge and weight arrays — the MST,
 the links and the MST weight never touch the ``nx.Graph``; the
 topology-only rows live on the handle itself and are shared across
 :meth:`~repro.runtime.handle.GraphHandle.reweight` variants.  A plan
-derived by :meth:`SolverPlan.from_delta` — a sparse re-solve, or one
-column of a scenario batch — takes every tree-derived row from its
-parent when its MST is the parent's (:meth:`SolverPlan._mst_parent`).
+derived by :meth:`SolverPlan.from_delta` — the plan of every weight
+column other than the session's base, whether it came as a full column,
+a sparse delta or one query of a batch — takes every tree-derived row
+from its parent when its MST is the parent's
+(:meth:`SolverPlan._mst_parent`).
 The phases that *do* depend on query parameters (forward primal-dual,
 reverse-delete, certificates) run per solve in
 :class:`~repro.runtime.session.SolverSession` on top of a plan.  The
@@ -179,11 +181,13 @@ class SolverPlan:
         max_fraction: object = None,
         max_swaps: object = None,
     ) -> "SolverPlan":
-        """Derive a plan for a :meth:`GraphHandle.reweight_delta` handle.
+        """Derive the plan of a handle reweighted from ``parent.handle``.
 
-        The one MST builder runs on the child's column (booked under
-        ``mst``), and what the plan takes from ``parent`` depends on
-        whether that MST is the parent's (:meth:`_mst_parent`):
+        ``handle.delta_base`` must be ``parent.handle`` itself (see
+        :meth:`GraphHandle.reweight`).  The one MST builder runs on the
+        child's column (booked under ``mst``), and what the plan takes
+        from ``parent`` depends on whether that MST is the parent's
+        (:meth:`_mst_parent`):
 
         * **MST kept** (``mode`` ``reused``) — the parent's rooted tree
           and labeled MST are shared object for object, and each instance
@@ -203,9 +207,7 @@ class SolverPlan:
         ``max_fraction`` and ``max_swaps`` are ignored; they are accepted
         because perfbench's drift ledger still passes them.
         """
-        if handle.delta_base is None or (
-            handle.delta_base.weights_key != parent.handle.weights_key
-        ):
+        if handle.delta_base is not parent.handle:
             raise ValueError(
                 "from_delta needs the plan of the handle's delta base"
             )
@@ -234,7 +236,12 @@ class SolverPlan:
 
     @property
     def g(self) -> nx.Graph:
-        """The normalized ``0..n-1`` graph (owned by the handle)."""
+        """The normalized ``0..n-1`` weighted graph (owned by the handle).
+
+        Read by the paths that need a weighted ``nx.Graph``
+        (``simulate_mst``, the ``sim`` engine, the shortcut solver); a
+        session validates results on its base handle's graph instead.
+        """
         return self.handle.graph
 
     @property
@@ -244,7 +251,14 @@ class SolverPlan:
 
     @property
     def diameter(self) -> int:
-        """Topology diameter under the result-metadata rule (see handle)."""
+        """Topology diameter under the result-metadata rule (see handle).
+
+        A derived plan asks its parent: the diameter reads structure only,
+        so it is computed on the base handle's graph, and no reweighted
+        handle builds an ``nx.Graph`` for it.
+        """
+        if self._delta_parent is not None:
+            return self._delta_parent.diameter
         if "diameter" not in self.handle._shared:
             # First computation for this topology: attribute the cost here
             # (reweighted handles share the cache, so later plans see none).

@@ -10,12 +10,16 @@ weight assignment) and exposes:
   gated on the ``k-ecss`` backend capability — reusing every plan
   artifact a previous solve already built;
 * :meth:`SolverSession.solve_many` — the one batch entry point: a list
-  of :class:`SolveQuery` records (or kwargs dicts), results in input
-  order.  Compatible fast-backend scenarios solve on plans derived from
-  the pinned base plan (:mod:`repro.runtime.batch`); everything else is
-  solved one query at a time against the shared plan cache.  The
-  scenario sweeps (:mod:`repro.analysis.sweep`) and the serve workers
-  drive it.
+  of :class:`SolveQuery` records (or kwargs dicts), solved one at a time,
+  results in input order.  The scenario sweeps
+  (:mod:`repro.analysis.sweep`) drive it.
+
+Every query's plan comes from one path, :meth:`SolverSession.plan`: the
+session's own weights use the pinned base plan, and any other weight
+column — a full ``weights`` list, a sparse ``weights_delta``, or one
+query of a batch — gets a plan derived from the base plan by its diff
+(:meth:`~repro.runtime.plan.SolverPlan.from_delta`), cached in an LRU
+keyed by :func:`~repro.runtime.handle.weights_token`.
 
 **Bit-identity contract.**  A session solve returns exactly what the
 one-shot API returns for the same parameters — same edges, weights, duals,
@@ -107,8 +111,8 @@ class SolverSession:
         CONGEST engine knobs forwarded to message-level (``sim``) solves.
     max_plans:
         Size of the per-weights plan LRU; reweighted scenarios beyond the
-        cap evict the least recently used plan (the handle's
-        topology-level caches are never evicted).
+        cap evict the least recently used plan (the pinned base plan and
+        the handle's topology-level caches are never evicted).
     """
 
     #: Inert: :meth:`SolverPlan.from_delta` ignores both values.  They stay
@@ -135,16 +139,16 @@ class SolverSession:
         self.words_per_edge = words_per_edge
         self.scheduler = scheduler
         self.max_plans = max(1, max_plans)
-        self._plans: "OrderedDict[str, SolverPlan]" = OrderedDict()
+        #: Keyed by the column's weights token; the base plan under None.
+        self._plans: "OrderedDict[tuple | None, SolverPlan]" = OrderedDict()
         self._counters = {
             "solves": 0, "plans_built": 0, "plan_hits": 0,
             "plan_evictions": 0, "delta_requests": 0, "delta_tree_reuses": 0,
-            "delta_tree_swaps": 0, "vectorized_batches": 0,
-            "scalar_fallback": 0,
+            "delta_tree_swaps": 0,
         }
         self._evicted_build_times: dict[str, float] = {}
-        # The base plan is pinned outside the LRU: every delta derives
-        # from it, so eviction must never force a full rebuild of it.
+        # The base plan is pinned outside the LRU: every other column's
+        # plan derives from it, so eviction must never force a rebuild.
         self._base_plan: SolverPlan | None = None
 
     # ------------------------------------------------------------------
@@ -161,11 +165,14 @@ class SolverSession:
         ``weights=None`` means the handle's own weight column;
         ``weights_delta`` instead applies a sparse ``{edge: new_weight}``
         diff against the session's **base** weights (idempotent and
-        order-independent, so coalesced/retried delta requests are safe)
-        and derives the plan incrementally from the pinned base plan (see
-        :meth:`SolverPlan.from_delta`).  Plans are keyed by the
-        weight-column fingerprint, so two equal reassignments — or two
-        equal diffs — share one plan.  The base plan is built once: after
+        order-independent, so coalesced/retried delta requests are safe).
+        Either way the column is diffed against the base weights
+        (:meth:`GraphHandle.reweight`): an unchanged column gets the
+        pinned base plan, and any other is derived from it
+        (:meth:`SolverPlan.from_delta`) and counted under
+        ``delta_tree_reuses`` or ``delta_tree_swaps``.  Derived plans are
+        keyed by :func:`weights_token`, so equal columns share one plan
+        whatever shape they came in.  The base plan is built once: after
         its LRU eviction the pinned plan is re-inserted, not rebuilt.
         """
         if weights_delta is not None:
@@ -173,63 +180,48 @@ class SolverSession:
                 raise ValueError(
                     "pass either weights or weights_delta, not both"
                 )
-            return self._delta_plan(weights_delta)
-        handle = self.handle if weights is None else self.handle.reweight(weights)
-        key = handle.weights_key
-        plan = self._plans.get(key)
-        if plan is None and key == self.handle.weights_key:
-            # The pinned base plan outlives its LRU slot: re-insert it.
-            plan = self._base_plan
-            if plan is not None:
-                self._insert_plan(key, plan)
-        if plan is None:
-            plan = SolverPlan(handle)
-            self._counters["plans_built"] += 1
-            self._insert_plan(key, plan)
-            if key == self.handle.weights_key:
-                self._base_plan = plan
+            self._counters["delta_requests"] += 1
+            handle = self.handle.reweight_delta(weights_delta)
+        elif weights is not None:
+            handle = self.handle.reweight(weights)
         else:
-            self._counters["plan_hits"] += 1
-        self._plans.move_to_end(key)
-        return plan
-
-    def base_plan(self) -> SolverPlan:
-        """The pinned plan for the session's own weight column.
-
-        Built on first use and kept alive independently of the LRU —
-        every delta derivation reads its tree and instances, so evicting
-        it would silently reintroduce full rebuilds.
-        """
-        if self._base_plan is None:
-            self.plan(None)  # builds and pins
-        return self._base_plan
-
-    def _delta_plan(self, changed: "Mapping") -> SolverPlan:
-        """Resolve, derive, and cache the plan for one sparse diff."""
-        self._counters["delta_requests"] += 1
-        handle = self.handle.reweight_delta(changed)
+            handle = self.handle
+        key: tuple | None = None
         if handle is self.handle:
-            # No effective change: the diff restated base weights.
-            self._counters["delta_tree_reuses"] += 1
-            return self.plan(None)
-        key = handle.weights_key
-        plan = self._plans.get(key)
-        if plan is None:
+            plan = self._base_plan
+        else:
+            key = weights_token(handle.weights)
+            plan = self._plans.get(key)
+        if plan is not None:
+            self._counters["plan_hits"] += 1
+        elif handle is self.handle:
+            plan = self._base_plan = SolverPlan(handle)
+            self._counters["plans_built"] += 1
+        else:
             plan = SolverPlan.from_delta(self.base_plan(), handle)
             reused = plan.delta_info["mode"] == "reused"
             self._counters[
                 "delta_tree_reuses" if reused else "delta_tree_swaps"
             ] += 1
             self._counters["plans_built"] += 1
-            self._insert_plan(key, plan)
-        else:
-            self._counters["plan_hits"] += 1
-        self._plans.move_to_end(key)
+        self._insert_plan(key, plan)
         return plan
 
-    def _insert_plan(self, key: str, plan: SolverPlan) -> None:
-        """Insert a plan into the LRU and evict past the cap."""
+    def base_plan(self) -> SolverPlan:
+        """The pinned plan for the session's own weight column.
+
+        Built on first use and kept alive independently of the LRU —
+        every derived plan reads its tree and instances, so evicting it
+        would silently reintroduce full rebuilds.
+        """
+        if self._base_plan is None:
+            self.plan(None)  # builds and pins
+        return self._base_plan
+
+    def _insert_plan(self, key: tuple | None, plan: SolverPlan) -> None:
+        """(Re-)insert a plan as the LRU's newest and evict past the cap."""
         self._plans[key] = plan
+        self._plans.move_to_end(key)
         while len(self._plans) > self.max_plans:
             _, evicted = self._plans.popitem(last=False)
             self._counters["plan_evictions"] += 1
@@ -250,12 +242,10 @@ class SolverSession:
 
         Returns a fresh dict with the lifetime counters (``solves``,
         ``plans_built``, ``plan_hits``, ``plan_misses`` — equal to
-        ``plans_built`` — and ``plan_evictions``; the delta-path
-        counters ``delta_requests``, ``delta_tree_reuses``,
-        ``delta_tree_swaps``; and the batch-path
-        pair ``vectorized_batches`` / ``scalar_fallback`` counting how
-        :meth:`solve_many` routed its queries), the cache
-        occupancy
+        ``plans_built`` — and ``plan_evictions``; ``delta_requests``, the
+        queries that came as a ``weights_delta``; and
+        ``delta_tree_reuses`` / ``delta_tree_swaps``, the derived plans
+        that kept or moved the base MST), the cache occupancy
         (``plans_cached`` / ``max_plans``), and ``build_times_s``: wall
         seconds per build phase (``mst``, ``links``, ``diameter``,
         ``instance:<flavor>``, and the derived plans' ``links:delta`` and
@@ -272,6 +262,9 @@ class SolverSession:
                 build_times[phase] = build_times.get(phase, 0.0) + secs
         return {
             **self._counters,
+            # There is one solve path; perfbench's scenario ledger still
+            # reads this former routing counter.
+            "scalar_fallback": 0,
             "plan_misses": self._counters["plans_built"],
             "plans_cached": len(self._plans),
             "max_plans": self.max_plans,
@@ -325,19 +318,8 @@ class SolverSession:
             failures=failures, simulate_mst=simulate_mst, k=k,
         ))
 
-    def _solve_query(
-        self,
-        query: SolveQuery,
-        plan_cache: "dict[object, SolverPlan] | None" = None,
-    ) -> Any:
-        """Solve one parsed query (the body of :meth:`solve`).
-
-        ``plan_cache`` is :meth:`solve_many`'s batch-local weight-
-        token map: queries whose weight inputs are equal value for value
-        and type for type share one resolved plan without re-paying the
-        reweight + key computation (LRU ``plan_hits`` accounting is
-        preserved for such hits).
-        """
+    def _solve_query(self, query: SolveQuery) -> Any:
+        """Solve one parsed query (the body of :meth:`solve`)."""
         backend = (
             query.backend if query.backend is not None
             else self.default_backend
@@ -371,18 +353,7 @@ class SolverSession:
                 )
         self._counters["solves"] += 1
         with obs.span("session.solve", engine=engine, k=k):
-            plan: SolverPlan | None = None
-            token = (
-                self._weights_token(query) if plan_cache is not None else None
-            )
-            if token is not None and plan_cache is not None:
-                plan = plan_cache.get(token)
-                if plan is not None:
-                    self._counters["plan_hits"] += 1
-            if plan is None:
-                plan = self.plan(query.weights, query.weights_delta)
-                if token is not None and plan_cache is not None:
-                    plan_cache[token] = plan
+            plan = self.plan(query.weights, query.weights_delta)
             if engine == "sim":
                 from repro.dist.pipeline import distributed_two_ecss
 
@@ -442,7 +413,7 @@ class SolverSession:
             flavor=flavor, validate=validate,
         )
         return assemble_k_ecss(
-            plan.g if validate else None,
+            self.handle.graph if validate else None,
             plan.nodes, base, base_edges, rounds, k,
             validate=validate, diameter=plan.diameter, n=plan.handle.n,
             degree_bound=plan.k_degree_bound(k),
@@ -486,11 +457,12 @@ class SolverSession:
                 inst, fwd, rev, eps=eps, variant=variant,
                 segmented=segmented, validate=validate, backend=flavor,
             )
-            # Only validation walks the nx.Graph; every other input is on
-            # the plan, so a validate=False solve never materializes the
-            # graph — an O(m) build the delta path must not pay per tick.
+            # Only validation walks an nx.Graph, and it reads structure
+            # only: the base handle's graph serves every weight column, so
+            # no reweighted handle builds one (an O(m) build and a graph
+            # per cached plan for the collector to walk).
             return assemble_two_ecss(
-                plan.g if (validate or simulate_mst) else None,
+                self.handle.graph if validate else None,
                 plan.nodes, plan.mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
                 diameter=plan.diameter, mst_weight=plan.mst_weight,
@@ -516,123 +488,19 @@ class SolverSession:
             return SolveQuery(**query)
         return query
 
-    @staticmethod
-    def _weights_token(query: SolveQuery) -> object | None:
-        """A hashable token of the query's weight inputs, or ``None``.
-
-        Two queries with equal tokens resolve to the same plan *and* the
-        same result, so :meth:`solve_many` shares one plan lookup across
-        them; the token is :func:`~repro.runtime.handle.weights_token`,
-        which tells ``1`` from ``1.0``.  ``None`` (no safe token) means
-        "resolve through :meth:`plan`".
-        """
-        try:
-            if query.weights_delta is not None:
-                delta = query.weights_delta
-                if isinstance(delta, Mapping):
-                    return ("delta", weights_token(delta))
-                return None
-            if query.weights is None:
-                return ("base",)
-            return weights_token(query.weights)
-        except TypeError:  # unhashable / non-iterable: let plan() decide
-            return None
-
-    def _vectorizable(self, query: SolveQuery) -> bool:
-        """Whether a query can join a scenario group.
-
-        A group's columns get plans derived from the pinned base plan by
-        their diff, outside the plan LRU and without a ``weights_key``
-        fingerprint of each column.  The group path covers the
-        bread-and-butter scenario sweep:
-        local engine, ``k=2``, dense-or-default weights, no failure
-        plan, no MST simulation, and a compute backend resolving to
-        ``fast``.  Anything else — including a backend whose resolution
-        raises — takes the one-query path, which reproduces the
-        scalar error semantics exactly.
-        """
-        if query.k != 2 or query.simulate_mst:
-            return False
-        if query.failures is not None or query.weights_delta is not None:
-            return False
-        engine = (
-            query.engine if query.engine is not None
-            else self.default_engine
-        )
-        if engine != "local":
-            return False
-        backend = (
-            query.backend if query.backend is not None
-            else self.default_backend
-        )
-        try:
-            return resolve_compute(backend) == "fast"
-        except Exception:
-            return False
-
     def solve_many(self, queries: Iterable[SolveQuery | Mapping]) -> list:
         """Solve a batch of queries; results come back in input order.
 
         Each query is a :class:`SolveQuery` or a kwargs mapping (unknown
-        mapping keys raise a one-line error naming the valid fields).
-        Queries that agree on ``(eps, variant, segmented, validate)`` and
-        are :meth:`_vectorizable` form one scenario group
-        (:mod:`repro.runtime.batch`) when there are at least two of them:
-        each distinct column's plan is derived from the pinned base plan
-        by its diff — sharing the base's tree structure when the MST is
-        kept, and skipping the plan LRU and its per-column ``weights_key``
-        fingerprint — then solved on the one-query path, bit-identical
-        per scenario to :meth:`solve`.  Everything else — sim engine,
-        ``k > 2``, failure plans, sparse deltas, non-fast backends, and
-        singleton groups — is solved one query at a time through the plan
-        LRU; queries whose weight inputs match (value and type) share one
-        plan lookup, so a 100-scenario eps/weight sweep builds each plan's
-        artifacts exactly once.  The ``vectorized_batches`` /
-        ``scalar_fallback`` counters (see :meth:`stats`) record the
-        routing.
+        mapping keys raise a one-line error naming the valid fields; all
+        entries are parsed before any is solved).  Each query is then
+        solved as :meth:`solve` would, through the one plan path
+        (:meth:`plan`), so queries with equal weight columns share one
+        plan and every result equals the matching :meth:`solve`.
         """
         parsed = [self._coerce_query(query) for query in queries]
-        results: list[Any] = [None] * len(parsed)
-        groups: "OrderedDict[tuple, list[int]]" = OrderedDict()
-        scalars: list[int] = []
-        for i, query in enumerate(parsed):
-            if self._vectorizable(query):
-                key = (
-                    query.eps, query.variant, query.segmented,
-                    query.validate,
-                )
-                groups.setdefault(key, []).append(i)
-            else:
-                scalars.append(i)
-        for key in [k for k, idxs in groups.items() if len(idxs) < 2]:
-            scalars.extend(groups.pop(key))
-        scalars.sort()
-        with obs.span(
-            "session.solve_many",
-            queries=len(parsed), vectorized=len(parsed) - len(scalars),
-            scalar=len(scalars),
-        ):
-            if scalars:
-                self._counters["scalar_fallback"] += len(scalars)
-                plan_cache: dict[object, SolverPlan] = {}
-                for i in scalars:
-                    results[i] = self._solve_query(parsed[i], plan_cache)
-            if groups:
-                from repro.runtime.batch import solve_scenario_group
-
-                for (
-                    eps, variant, segmented, validate,
-                ), idxs in groups.items():
-                    self._counters["vectorized_batches"] += 1
-                    self._counters["solves"] += len(idxs)
-                    group_results = solve_scenario_group(
-                        self, [parsed[i] for i in idxs],
-                        eps=eps, variant=variant, segmented=segmented,
-                        validate=validate,
-                    )
-                    for i, result in zip(idxs, group_results):
-                        results[i] = result
-        return results
+        with obs.span("session.solve_many", queries=len(parsed)):
+            return [self._solve_query(query) for query in parsed]
 
     #: The former name of :meth:`solve_many`, kept for existing callers.
     solve_batch_vectorized = solve_many

@@ -4,10 +4,10 @@ The serving layer turns the runtime layer (:mod:`repro.runtime`) into a
 system: a JSON-over-HTTP service (stdlib-only, hand-rolled HTTP/1.1 on
 ``asyncio`` streams) that accepts 2-ECSS solve requests, routes them by
 topology fingerprint to a pool of worker processes, and — inside each
-worker — coalesces concurrently-pending requests for the same
-:class:`~repro.runtime.handle.GraphHandle` into one
-:meth:`~repro.runtime.session.SolverSession.solve_many` call, so plan
-caches are shared across users.  Dory & Ghaffari's solver is exactly the
+worker — solves concurrently-pending requests for the same
+:class:`~repro.runtime.handle.GraphHandle` as one batch on one warm
+:class:`~repro.runtime.session.SolverSession`, so plan caches are shared
+across users.  Dory & Ghaffari's solver is exactly the
 kind a network-operations service queries repeatedly — same topology,
 shifting weights and failures — and that is the traffic shape every layer
 here is optimized for.

@@ -13,8 +13,7 @@ sockets.  Routes:
                           (:func:`repro.serve.protocol.parse_delta_request`)
 ``GET /healthz``          liveness + config summary
 ``GET /metrics``          counters, latency + batch-size histograms,
-                          batcher stats, the solver's vectorized/scalar
-                          routing counters, per-shard worker/session stats,
+                          batcher stats, per-shard worker/session stats,
                           and the aggregated per-phase span breakdown
                           (:mod:`repro.obs`)
 ``GET /backends``         the execution-backend registry
@@ -23,11 +22,11 @@ sockets.  Routes:
 
 A solve request flows: schema validation in the event loop (cheap) →
 topology resolution against the app's edge-payload store → the
-per-topology :class:`~repro.serve.batcher.MicroBatcher` → one
-:meth:`~repro.runtime.session.SolverSession.solve_many` batch
+per-topology :class:`~repro.serve.batcher.MicroBatcher` → one batch
 inside the topology's shard
-(:class:`~repro.serve.workers.ShardedWorkerPool`), which fuses the
-coalesced batch's compatible scenarios into shared kernel passes.
+(:class:`~repro.serve.workers.ShardedWorkerPool`), solved request by
+request on the topology's warm
+:class:`~repro.runtime.session.SolverSession`.
 """
 
 from __future__ import annotations
@@ -452,19 +451,10 @@ class ServeApp:
 
     async def _metrics(self) -> dict:
         workers = await self.pool.stats()
-        # The scenario-batch counter pair, summed over every live session
-        # on every shard: how many coalesced batches ran as scenario
-        # groups vs how many queries fell back to the one-query path.
-        solver = {"vectorized_batches": 0, "scalar_fallback": 0}
-        for worker in workers:
-            for session in worker.get("sessions", []):
-                for key in solver:
-                    solver[key] += session.get(key, 0)
         return {
             "protocol": PROTOCOL_VERSION,
             **self.metrics.snapshot(),
             "batcher": self.batcher.snapshot(),
-            "solver": solver,
             "phases": {
                 name: {"count": count, "total_s": round(total, 6)}
                 for name, (count, total) in sorted(self._phases.items())

@@ -5,8 +5,7 @@ shifting weights/failures.  :class:`MicroBatcher` holds each incoming
 request for at most ``max_delay`` seconds; every request for the same key
 (the topology fingerprint) that arrives inside that window joins the same
 batch, and the whole batch is handed to one ``flush`` call — which the app
-turns into a single :meth:`repro.runtime.session.SolverSession.solve_many`
-inside the worker that owns the topology.  A batch also flushes early the
+turns into one round-trip to the worker that owns the topology.  A batch also flushes early the
 moment it reaches ``max_batch`` items, so the delay knob bounds latency
 and the batch knob bounds worker payload size.
 

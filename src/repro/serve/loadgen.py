@@ -25,8 +25,8 @@ Four traffic modes:
 * **montecarlo** — closed-loop workers hammering **one** topology with
   ``/v1/solve_batch`` requests of ``batch`` weight-perturbation scenarios
   each (``drift_edges`` of the edges scaled up per scenario) — the
-  what-if sweep shape :meth:`~repro.runtime.session.SolverSession.solve_many`
-  groups, solving each column on a plan derived from the base plan.
+  what-if sweep shape, where each column solves on a plan derived from
+  the session's base plan.
   With ``binary=True`` the weight columns ride the binary frame encoding
   (:func:`repro.serve.protocol.pack_frame`) instead of JSON decimal text,
   and responses are requested framed too.
@@ -603,18 +603,6 @@ async def _run(cfg: LoadgenConfig) -> dict:
             f"got {cfg.mode!r}"
         )
     wall = time.perf_counter() - t0
-    # One /metrics poll after the run: surface the server's scenario-
-    # batch routing counters next to the client-side tallies.
-    solver = {"vectorized_batches": 0, "scalar_fallback": 0}
-    probe = HttpClient(cfg.host, cfg.port)
-    try:
-        status, metrics_payload = await probe.request("GET", "/metrics")
-        if status == 200:
-            solver.update(metrics_payload.get("solver", {}))
-    except (OSError, asyncio.IncompleteReadError, ValueError):
-        pass  # metrics are best-effort decoration of the summary
-    finally:
-        await probe.close()
     lat = tally.latencies_s
     return {
         "mode": cfg.mode,
@@ -641,7 +629,6 @@ async def _run(cfg: LoadgenConfig) -> dict:
             ) if tally.batch_sizes else 0.0,
             "max": max(tally.batch_sizes, default=0),
         },
-        "solver": solver,
         "server_phases_ms": {
             name: {
                 "count": count,

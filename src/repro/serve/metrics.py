@@ -77,8 +77,8 @@ class SizeHistogram:
     Power-of-two bucket bounds: a coalesced batch of size ``s`` lands in
     the first bucket with ``s <= bound``.  Same allocation-free design as
     :class:`LatencyHistogram`, used by ``/metrics`` to show how well the
-    micro-batcher is actually coalescing (the precondition for the
-    scenario-batched solve path to see multi-query batches).
+    micro-batcher is actually coalescing (how many requests share one
+    worker round-trip).
     """
 
     #: Inclusive upper bounds; sizes above the last bound land in +inf.

@@ -86,10 +86,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
+
+from repro.graphs.validation import valid_weight
 
 if TYPE_CHECKING:  # heavy imports stay lazy at runtime
     import networkx as nx
@@ -278,7 +279,7 @@ def _check_label(
 
 
 def _check_weight(w: object, index: int, field_name: str) -> None:
-    """Validate one edge weight (finite number, ``>= 0``)."""
+    """Validate one edge weight (a number passing :func:`valid_weight`)."""
     if isinstance(w, bool) or not isinstance(w, (int, float)):
         raise ProtocolError(
             "invalid-weight",
@@ -286,10 +287,11 @@ def _check_weight(w: object, index: int, field_name: str) -> None:
             f"got {type(w).__name__}",
             field=field_name,
         )
-    if not math.isfinite(w) or w < 0:
+    if not valid_weight(w):
         raise ProtocolError(
             "invalid-weight",
-            f"{field_name}[{index}]: weight must be finite and >= 0, got {w!r}",
+            f"{field_name}[{index}]: weight must be >= 0 and within float "
+            f"range, got {w!r}",
             field=field_name,
         )
     return w
@@ -678,9 +680,10 @@ def _query_fields(obj: dict) -> dict:
     """Validate the query-parameter fields shared by solve and delta."""
     eps = obj.get("eps", 0.25)
     if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
-            or not math.isfinite(eps) or eps <= 0:
+            or not valid_weight(eps) or eps == 0:
         raise ProtocolError(
-            "invalid-field", f"eps must be a positive finite number, got {eps!r}",
+            "invalid-field",
+            f"eps must be > 0 and within float range, got {eps!r}",
             field="eps",
         )
     variant = obj.get("variant", "improved")

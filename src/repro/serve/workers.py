@@ -198,39 +198,22 @@ def _session_for(topology: str, graph: dict | None):
 
 
 def _solve_on_session(session, requests: list[SolveRequest]) -> list[dict]:
-    """Solve a coalesced batch on one session.
+    """Solve a coalesced batch on one session, one request at a time.
 
-    The batch goes through
-    :meth:`~repro.runtime.session.SolverSession.solve_many`: compatible
-    requests (same eps/variant/validate, local engine, ``k=2``, fast
-    compute) solve on plans derived from the base plan, the rest take the
-    one-query path — bit-identical either way.  Per-request translation
-    errors (bad failure spec, wrong weights length) are isolated up
-    front; if the joint call fails, the batch degrades to per-request
-    solves so one poisoned request cannot take down its batch-mates.
+    Each request is translated and solved under its own ``try``, so a
+    poisoned request (bad failure spec, wrong weights length) fails alone
+    and every request is attempted exactly once.  Equal weight columns in
+    a batch share one plan through the session's plan cache.
     """
-    prepared: list[tuple[int, object]] = []
-    items: dict[int, dict] = {}
-    for i, request in enumerate(requests):
+    items = []
+    for request in requests:
         try:
-            prepared.append((i, _query_for(session, request)))
+            result = session.solve_many([_query_for(session, request)])[0]
+            with obs.span("serve.serialize", items=1):
+                items.append({"result": result_to_payload(result)})
         except Exception as exc:  # noqa: BLE001 - structured per item
-            items[i] = error_item_from_exception(exc)
-    if prepared:
-        try:
-            results = session.solve_many([q for _, q in prepared])
-            with obs.span("serve.serialize", items=len(results)):
-                for (i, _), result in zip(prepared, results):
-                    items[i] = {"result": result_to_payload(result)}
-        except Exception:  # noqa: BLE001 - isolate the failing request(s)
-            for i, query in prepared:
-                try:
-                    (result,) = session.solve_many([query])
-                    with obs.span("serve.serialize", items=1):
-                        items[i] = {"result": result_to_payload(result)}
-                except Exception as exc:  # noqa: BLE001
-                    items[i] = error_item_from_exception(exc)
-    return [items[i] for i in range(len(requests))]
+            items.append(error_item_from_exception(exc))
+    return items
 
 
 def solve_batch_payload(payload: dict) -> dict:

@@ -9,10 +9,11 @@ MST, diffs that keep it, diffs of any size, and tie-heavy integer weights.
 At the plan level, a plan derived by :meth:`SolverPlan.from_delta` must
 equal a plan built from scratch on the child handle, artifact for
 artifact, on drawn graphs, weights and diffs.  Also pins the
-correctness-hardening satellites: the weight
-fingerprint canonicalizes signed zero and rejects NaN, and a reweight
-mapping naming one edge under both key orders with different values is an
-explicit :class:`~repro.exceptions.GraphFormatError`.
+correctness hardening: equal weight columns share one session
+plan however they arrive (``0.0`` and ``-0.0`` included, ``1`` and ``1.0``
+not), weights outside ``[0, sys.float_info.max]`` are rejected, and a
+reweight mapping naming one edge under both key orders with different
+values is an explicit :class:`~repro.exceptions.GraphFormatError`.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ class TestDerivedMst:
 
 
 # ---------------------------------------------------------------------------
-# GraphHandle.reweight_delta + fingerprint hardening
+# GraphHandle.reweight_delta + plan-key hardening
 # ---------------------------------------------------------------------------
 
 
@@ -275,22 +276,30 @@ class TestReweightDelta:
             assert new.weights[i] == w
 
     def test_derived_key_matches_full_recompute(self):
-        """The O(k) chained fingerprint == the O(m) from-scratch one."""
+        """A delta and the equal full column share one plan."""
         changed = _sparse_diff(self.graph, 6, k=4)
-        new = self.handle.reweight_delta(changed)
-        fresh = GraphHandle.from_graph(_patched(self.graph, changed))
-        assert new.weights_key == fresh.weights_key
+        full = [
+            w for _, _, w in _patched(self.graph, changed).edges(data="weight")
+        ]
+        session = SolverSession(self.handle)
+        plan = session.plan(weights_delta=changed)
+        assert session.plan(weights=full) is plan
+        assert plan.handle.weights == tuple(full)
 
     def test_unknown_edge_raises(self):
         with pytest.raises(GraphFormatError, match="delta"):
             self.handle.reweight_delta({(0, 999): 1.0})
 
     def test_reverse_key_is_same_edge(self):
+        """Both endpoint orders of an edge name it: one plan."""
         (u, v) = next(iter(self.graph.edges()))
-        a = self.handle.reweight_delta({(u, v): 3.25})
-        b = self.handle.reweight_delta({(v, u): 3.25})
-        assert a.weights == b.weights
-        assert a.weights_key == b.weights_key
+        session = SolverSession(self.handle)
+        a = session.plan(weights_delta={(u, v): 3.25})
+        assert session.plan(weights_delta={(v, u): 3.25}) is a
+        assert session.plan(weights={(v, u): 3.25, **{
+            e: w for e, w in zip(self.handle.edge_list, self.handle.weights)
+            if e != (u, v)
+        }}) is a
 
     def test_both_key_orders_conflict_raises(self):
         """Satellite: (u,v) and (v,u) with different values is an error."""
@@ -309,9 +318,9 @@ class TestReweightDelta:
             self.handle.reweight_delta({(u, v): 1.0, (v, u): 2.0})
 
     def test_nan_rejected(self):
-        """NaN and infinite weights are rejected everywhere, never hashed."""
+        """NaN, infinite and beyond-float-range weights are rejected."""
         (u, v) = next(iter(self.graph.edges()))
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, 10 ** 400):
             with pytest.raises(GraphFormatError):
                 self.handle.reweight_delta({(u, v): bad})
             with pytest.raises(GraphFormatError):
@@ -324,23 +333,30 @@ class TestReweightDelta:
             bad_graph[u][v]["weight"] = bad
             with pytest.raises(GraphFormatError):
                 GraphHandle.from_graph(bad_graph)
-        # Ints beyond float range are finite weights.
-        column = [1] * (self.handle.m - 1) + [10 ** 400]
-        assert self.handle.reweight(column).weights[-1] == 10 ** 400
-        assert self.handle.reweight_delta({(u, v): 10 ** 400}) is not None
+        # The fast scan must not overflow on a float column holding one.
+        column = [1.0] * (self.handle.m - 1) + [10 ** 400]
+        with pytest.raises(GraphFormatError, match="invalid weight"):
+            self.handle.reweight(column)
 
     def test_signed_zero_canonicalized(self):
-        """Satellite: -0.0 == 0.0 must fingerprint identically."""
+        """``-0.0 == 0.0``, so the two columns share one plan."""
         (u, v) = next(iter(self.graph.edges()))
-        pos = self.handle.reweight_delta({(u, v): 0.0})
-        neg = self.handle.reweight_delta({(u, v): -0.0})
-        assert pos.weights_key == neg.weights_key
-        # Full-column reweights agree with the delta-derived keys.
-        col = list(self.handle.weights)
-        col[list(pos.delta_changes)[0]] = -0.0
-        assert GraphHandle.from_graph(
-            _patched(self.graph, {(u, v): -0.0})
-        ).weights_key == pos.weights_key
+        session = SolverSession(self.handle)
+        pos = session.plan(weights_delta={(u, v): 0.0})
+        assert session.plan(weights_delta={(u, v): -0.0}) is pos
+        i = list(pos.handle.delta_changes)[0]
+        column = list(self.handle.weights)
+        column[i] = -0.0
+        assert session.plan(weights=column) is pos
+
+    def test_int_and_float_columns_do_not_share_a_plan(self):
+        """``1 == 1.0``, but a weight's type reaches the result."""
+        session = SolverSession(self.handle)
+        ints = session.plan(weights=[1] * self.handle.m)
+        floats = session.plan(weights=[1.0] * self.handle.m)
+        assert floats is not ints
+        assert type(floats.mst_weight) is float
+        assert type(ints.mst_weight) is int
 
 
 # ---------------------------------------------------------------------------

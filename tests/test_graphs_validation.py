@@ -47,7 +47,10 @@ class TestEnsureWeights:
         assert g[0][1]["weight"] == 2.5
 
     @pytest.mark.parametrize(
-        "bad", [-1.0, float("nan"), float("inf"), None]
+        "bad", [
+            -1.0, float("nan"), float("inf"), None,
+            pytest.param(10 ** 400, id="int-beyond-float-range"),
+        ]
     )
     def test_invalid_weights(self, bad):
         g = nx.Graph()

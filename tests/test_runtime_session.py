@@ -170,7 +170,9 @@ class TestGraphHandle:
         doubled = handle.reweight([2 * w for w in handle.weights])
         assert doubled.weights == tuple(2 * w for w in handle.weights)
         assert doubled.topology_key == handle.topology_key
-        assert doubled.weights_key != handle.weights_key
+        assert doubled.delta_base is handle
+        assert len(doubled.delta_changes) == handle.m
+        assert handle.reweight(list(handle.weights)) is handle  # no change
         by_edge = {e: 1.0 for e in handle.edge_list}
         flat = handle.reweight(by_edge)
         assert set(flat.weights) == {1.0}
@@ -450,6 +452,35 @@ class TestSessionValidation:
             sum(p.build_times.values()) for p in session._plans.values()
         )
         assert sum(times.values()) > live  # evicted seconds were kept
+
+    @pytest.mark.parametrize("first", ["base", "column"])
+    def test_derived_handles_build_no_graph(self, first):
+        """Validation and the diameter read the base handle's graph only.
+
+        Every column shape (a full column, a sparse delta, a batch query)
+        and a k-ECSS solve leave each derived handle without an
+        ``nx.Graph``, also when a column is the session's first query.
+        """
+        graph = make_family_instance("torus", 25, seed=1)
+        edges = list(graph.edges())
+        session = SolverSession(graph)
+        column = [2 * w for w in session.handle.weights]
+        if first == "base":
+            session.solve(eps=0.5)
+        session.solve(eps=0.5, weights=column)
+        session.solve(eps=0.5, weights_delta={edges[0]: 9.5})
+        session.solve_many([
+            {"eps": 0.25, "weights": [w + 1 for w in column]},
+            {"eps": 0.5, "weights_delta": {edges[1]: 0.25}},
+        ])
+        session.solve(eps=0.5, weights=column, k=3)
+        derived = [
+            plan.handle for plan in session._plans.values()
+            if plan is not session.base_plan()
+        ]
+        assert len(derived) == 4
+        for handle in derived:
+            assert "graph" not in handle.__dict__
 
     def test_stats_is_a_snapshot(self):
         g = cycle_with_chords(12, 4, seed=3)

@@ -5,9 +5,8 @@ Three contracts, all bit-identity shaped:
 * ``SolverSession.solve_many`` equals the same queries solved one at a
   time — every result field, duals and anchors and certificates and
   primitive logs included, weight types too — across every registered
-  compute backend as the session default, with mixed-parameter batches
-  split into the right groups and everything non-vectorizable taking the
-  one-query path;
+  compute backend as the session default, mixed-parameter batches
+  included, with equal weight columns sharing one plan;
 * each kernel gives the same answer as the reference tree structures;
   the one MST builder (:func:`repro.core.tecss.stable_kruskal_mst`)
   equals ``nx.minimum_spanning_tree``; the one fast forward phase equals
@@ -108,15 +107,9 @@ def test_vectorized_bit_identical_to_looped(backend):
         assert_results_equal(a, b)
     stats = session.stats()
     assert stats["solves"] == len(queries)
-    from repro.runtime.registry import resolve_compute
-
-    if resolve_compute(backend) == "fast":
-        # eps=0.5, eps=0.25, and the validate=False group.
-        assert stats["vectorized_batches"] == 3
-        assert stats["scalar_fallback"] == 0
-    else:
-        assert stats["vectorized_batches"] == 0
-        assert stats["scalar_fallback"] == len(queries)
+    # The base plan and one plan per distinct column, whatever the query's
+    # eps or validate flag.
+    assert stats["plans_built"] == len(columns) + 1
 
 
 @needs_numpy
@@ -136,35 +129,20 @@ def test_mixed_batches_split_and_fall_back():
     for a, b in zip(batched, looped):
         assert_results_equal(a, b)
     stats = session.stats()
-    # One fused group (the two eps=0.5 fast queries); the reference query,
-    # the demoted eps=1.0 singleton, and the sim query go scalar.
-    assert stats["vectorized_batches"] == 1
-    assert stats["scalar_fallback"] == 3
-
-
-@needs_numpy
-def test_vectorizable_gates():
-    graph = make_family_instance("cycle_chords", 20, seed=1)
-    session = SolverSession(graph, backend="fast")
-    assert session._vectorizable(SolveQuery(eps=0.5))
-    assert not session._vectorizable(SolveQuery(eps=0.5, k=3))
-    assert not session._vectorizable(SolveQuery(eps=0.5, simulate_mst=True))
-    assert not session._vectorizable(SolveQuery(eps=0.5, engine="sim"))
-    assert not session._vectorizable(SolveQuery(eps=0.5, backend="reference"))
-    assert not session._vectorizable(SolveQuery(eps=0.5, backend="warp"))
-    assert not session._vectorizable(
-        SolveQuery(eps=0.5, weights_delta={(0, 1): 2.0})
-    )
+    # Plans are per weight column, shared by every backend and engine.
+    assert stats["plans_built"] == len(columns) + 1
 
 
 @needs_numpy
 @pytest.mark.parametrize("base_type", [int, float])
 def test_every_derivation_outcome_matches_solve(base_type, monkeypatch):
-    """One column per way a scenario plan derives from the base plan.
+    """One column per way a column's plan derives from the base plan.
 
-    Every non-base column's plan comes from ``SolverPlan.from_delta``; a
-    spy records the mode each took, and each result must equal a
-    one-query ``solve``.  Batch plans never touch the delta counters.
+    Through ``solve_many`` and through one ``solve()`` per query alike,
+    every non-base column's plan comes from ``SolverPlan.from_delta``: a
+    spy records the mode each took, the derived plans share the base
+    structure and count under the delta counters, and each result equals
+    a solve on a session built on that column (a from-scratch plan).
     """
     from repro.runtime.handle import GraphHandle
     from repro.runtime.plan import SolverPlan
@@ -207,32 +185,38 @@ def test_every_derivation_outcome_matches_solve(base_type, monkeypatch):
 
     monkeypatch.setattr(SolverPlan, "from_delta", classmethod(spy))
     queries = [{"eps": 0.5, "weights": c} for c in columns]
-    session = SolverSession(handle, backend="fast")
-    batched = session.solve_many(queries)
-    assert [plan.delta_info["mode"] for plan in made] == [
-        "reused", "swapped", "reused", "swapped", "reused",
-    ]
-    assert [
-        "instance:fast:delta" in plan.build_times for plan in made
-    ] == [True, False, True, False, True]
-    base_plan = session.base_plan()
-    for plan in (made[0], made[2], made[4]):  # derived from the base
-        inst, shared = plan.instance("fast"), base_plan.instance("fast")
-        assert inst.tree is shared.tree and inst.hld is shared.hld
-        assert inst.segments is shared.segments
-        assert plan.labeled_mst_edges is base_plan.labeled_mst_edges
-    stats = session.stats()
-    assert stats["vectorized_batches"] == 1
-    for counter in (
-        "delta_requests", "delta_tree_reuses", "delta_tree_swaps",
-    ):
-        assert stats[counter] == 0, counter
+    shapes = {
+        "solve_many": lambda session: session.solve_many(queries),
+        "solve": lambda session: [session.solve(**q) for q in queries],
+    }
+    results = {}
+    for shape, run in shapes.items():
+        made.clear()
+        session = SolverSession(handle, backend="fast")
+        results[shape] = run(session)
+        assert [plan.delta_info["mode"] for plan in made] == [
+            "reused", "swapped", "reused", "swapped", "reused",
+        ], shape
+        assert [
+            "instance:fast:delta" in plan.build_times for plan in made
+        ] == [True, False, True, False, True], shape
+        base_plan = session.base_plan()
+        for plan in (made[0], made[2], made[4]):  # derived from the base
+            inst, shared = plan.instance("fast"), base_plan.instance("fast")
+            assert inst.tree is shared.tree and inst.hld is shared.hld
+            assert inst.segments is shared.segments
+            assert plan.labeled_mst_edges is base_plan.labeled_mst_edges
+        stats = session.stats()
+        assert stats["delta_requests"] == 0, shape
+        assert stats["delta_tree_reuses"] == 3, shape
+        assert stats["delta_tree_swaps"] == 2, shape
     monkeypatch.undo()
-    single = SolverSession(handle, backend="fast")
-    for query, result in zip(queries, batched):
-        assert_results_equal(result, single.solve(**query))
-    assert type(batched[0].mst_weight) is base_type
-    assert type(batched[-1].mst_weight) is other_type
+    for shape, got in results.items():
+        for column, result in zip(columns, got):
+            fresh = SolverSession(handle.reweight(column), backend="fast")
+            assert_results_equal(result, fresh.solve(eps=0.5))
+        assert type(got[0].mst_weight) is base_type
+        assert type(got[-1].mst_weight) is other_type
 
 
 #: Weight pools with exact ties and zero weights, narrow enough that the
@@ -305,7 +289,6 @@ def test_solve_many_equals_looped_solve(case):
     ]
     session = SolverSession(handle, backend="fast")
     batched = session.solve_many(queries)
-    assert session.stats()["vectorized_batches"] == 1
     single = SolverSession(handle, backend="fast")
     for query, result in zip(queries, batched):
         assert_results_equal(result, single.solve(**query))
@@ -335,7 +318,6 @@ def test_big_integer_columns_keep_the_exact_mst():
 
     a, b = column((0, 1), big + 1), column((2, 3), big + 3)
     batched = session.solve_many([{"weights": a}, {"weights": b}])
-    assert session.stats()["vectorized_batches"] == 1
     single = SolverSession(graph, backend="fast")
     want = [single.solve(weights=a), single.solve(weights=b)]
     assert want[0].mst_edges == [(0, 2), (0, 3), (1, 2)]
@@ -385,7 +367,7 @@ def test_solve_many_groups_by_weight_fingerprint():
         {"eps": 0.5, "weights": list(column)},  # equal copy, also a hit
     ])
     stats = session.stats()
-    assert stats["plans_built"] == 1
+    assert stats["plans_built"] == 2  # the base plan and the column's
     assert stats["plan_hits"] == 2
     single = SolverSession(graph)
     for query, result in zip(
@@ -814,7 +796,3 @@ def test_loadgen_montecarlo_smoke(binary):
     assert summary["transport_errors"] == 0
     assert summary["ok"] >= 2 * cfg.batch  # post-registration scenarios
     assert summary["frames"] == (summary["requests"] if binary else 0)
-    solver = summary["solver"]
-    # Past the registration round the batches are compatible scenario
-    # groups over one topology: the vectorized path must have engaged.
-    assert solver["vectorized_batches"] >= 1

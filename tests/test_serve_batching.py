@@ -176,6 +176,43 @@ class TestShardedPool:
         run(scenario())
 
 
+    def test_bad_request_fails_alone_and_each_is_solved_once(self):
+        """A wrong-length column fails only its own item; no retry pass."""
+        from repro.graphs.families import make_family_instance
+        from repro.serve.protocol import (
+            SolveRequest, fingerprint_graph, graph_payload,
+        )
+        from repro.serve.workers import ShardedWorkerPool
+
+        payload = graph_payload(
+            make_family_instance("cycle_chords", 12, seed=1)
+        )
+        key = fingerprint_graph(payload)
+        m = len(payload["edges"])
+        requests = [
+            SolveRequest(topology=key, eps=0.5),
+            SolveRequest(topology=key, eps=0.5, weights=[2.0] * m),
+            SolveRequest(topology=key, eps=0.25, weights=[2.0] * m),
+            SolveRequest(topology=key, eps=0.5, weights=[1.0] * (m - 1)),
+        ]
+
+        async def scenario():
+            pool = ShardedWorkerPool(shards=0)
+            await pool.start()
+            try:
+                items = await pool.solve_batch(key, requests, payload)
+                (worker,) = await pool.stats()
+            finally:
+                await pool.close()
+            return items, worker
+
+        items, worker = run(scenario())
+        assert ["result" in item for item in items] == [True] * 3 + [False]
+        assert items[-1]["error"]["code"] == "invalid-request"
+        (session,) = worker["sessions"]
+        assert session["solves"] == len(requests)
+
+
 class TestFlushFallback:
     def test_flush_uses_batched_request_graph_when_store_evicted(self):
         """A registration evicted from the dispatcher store while its own

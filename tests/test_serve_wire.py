@@ -305,6 +305,39 @@ def test_error_responses_are_structured():
     serve_session(scenario)
 
 
+def test_numbers_beyond_float_range_are_client_errors():
+    """A weight or eps past ``sys.float_info.max`` answers 400, not 500."""
+    graph = make_family_instance("cycle_chords", 16, seed=5)
+    payload = graph_payload(graph)
+
+    async def scenario(client, server):
+        huge = 10 ** 400
+        edges = [list(edge) for edge in payload["edges"]]
+        edges[0][2] = huge
+        status, resp = await client.request("POST", "/v1/solve", {
+            "graph": {"nodes": payload["nodes"], "edges": edges},
+        })
+        assert status == 400, resp
+        assert resp["error"]["code"] == "invalid-weight"
+        status, first = await client.request("POST", "/v1/solve", {
+            "graph": payload,
+        })
+        assert status == 200
+        u, v, _ = payload["edges"][0]
+        status, resp = await client.request("POST", "/v1/delta", {
+            "topology": first["topology"], "delta": [[u, v, huge]],
+        })
+        assert status == 400 and resp["error"]["code"] == "invalid-weight"
+        status, resp = await client.request("POST", "/v1/solve", {
+            "topology": first["topology"], "eps": huge,
+        })
+        assert status == 400, resp
+        assert resp["error"]["code"] == "invalid-field"
+        assert resp["error"]["field"] == "eps"
+
+    serve_session(scenario)
+
+
 def test_solve_batch_isolates_parse_and_topology_errors():
     """A malformed or unknown-topology item answers per item, and never
     discards its batch-mates' results."""
