@@ -559,7 +559,7 @@ def run_loadgen_cli(argv: list[str]) -> int:
             for name, cell in phases.items():
                 print(
                     f"  {name:<{width}}  mean {cell['mean_ms']:>9.3f}  "
-                    f"total {cell['total_ms']:>10.1f}  x{cell['count']}"
+                    f"total {cell['total_ms']:>10.1f}  x{cell['count']:.10g}"
                 )
     failures = summary["protocol_errors"] + summary["transport_errors"]
     if args.check and failures:

@@ -61,6 +61,7 @@ from repro.dist.programs import (
 )
 from repro.exceptions import SimulationError
 from repro.sim.engine import BatchedNetwork
+from repro.sim.failures import FailurePlan
 from repro.sim.mst import BoruvkaMST
 
 __all__ = ["DistTwoEcssResult", "distributed_two_ecss"]
@@ -146,6 +147,23 @@ class _GatherHooks:
             )
 
 
+def _failures_in_ids(failures: FailurePlan, index: dict) -> FailurePlan:
+    """``failures`` with its caller-labeled pairs mapped through ``index``."""
+    try:
+        return FailurePlan(
+            by_round={
+                r: {(index[u], index[v]) for u, v in pairs}
+                for r, pairs in failures.by_round.items()
+            },
+            always={(index[u], index[v]) for u, v in failures.always},
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"failure plan names node {exc.args[0]!r}, which the graph "
+            "does not have"
+        ) from None
+
+
 def distributed_two_ecss(
     graph: nx.Graph | None,
     eps: float = 0.25,
@@ -165,8 +183,12 @@ def distributed_two_ecss(
     :class:`~repro.sim.failures.FailurePlan`) switches the run to *lossy*
     mode: distributed-vs-reference divergences are counted instead of
     raised, and the solver continues on the reference values so the
-    returned solution stays valid.  ``ratio_bound`` is the documented
-    constant factor for the rounds-vs-model comparison rows.
+    returned solution stays valid.  The plan names edges in the caller's
+    labels (those of ``graph``, or of the graph ``plan`` was built from);
+    they are mapped to the engine's normalized ids here, and a plan
+    naming a node the graph lacks raises ``ValueError``.  ``ratio_bound``
+    is the documented constant factor for the rounds-vs-model comparison
+    rows.
 
     ``plan`` (a :class:`repro.runtime.plan.SolverPlan`) supplies the
     cached centralized artifacts — validation, normalization, MST,
@@ -195,6 +217,8 @@ def distributed_two_ecss(
     g, nodes = plan.g, plan.nodes
 
     strict = failures is None
+    if failures is not None:
+        failures = _failures_in_ids(failures, plan.handle.index)
     net = BatchedNetwork(
         g, words_per_edge, scheduler=scheduler, failures=failures
     )

@@ -20,9 +20,9 @@ plan once:
   Every weight column other than the session's own — a full column, a
   sparse delta, one query of a batch — takes one plan path: its plan is
   derived from the pinned base plan by its diff;
-* :mod:`~repro.runtime.registry` — the
-  :class:`~repro.runtime.registry.BackendSpec` registry unifying the old
-  ``backend=``/``engine=`` strings into registered execution backends
+* :mod:`~repro.runtime.registry` — the fixed table of the five
+  execution backends (``backend=`` compute flavors and ``engine=``
+  pipelines) as :class:`~repro.runtime.registry.BackendSpec` entries
   with capability flags (``vectorized``, ``message-level``,
   ``failure-injection``, …) and one-line unknown-name errors.
 
@@ -50,8 +50,6 @@ from repro.runtime.registry import (
     UnknownBackendError,
     backend_names,
     get_backend,
-    register_backend,
-    registered,
     registered_payload,
     resolve_compute,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "UnknownBackendError",
     "backend_names",
     "get_backend",
-    "register_backend",
-    "registered",
     "registered_payload",
     "resolve_compute",
 ]

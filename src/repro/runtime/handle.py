@@ -135,8 +135,8 @@ class GraphHandle:
 
         ``weights`` is either a sequence aligned with :attr:`edge_list`
         (one float per edge, in handle order) or a mapping from edge keys
-        to floats — keys may use the original node labels or the
-        normalized ids, in either endpoint order.  Every weight must pass
+        to floats, keyed as in :meth:`reweight_delta`, that names every
+        edge; a key that names no edge raises.  Every weight must pass
         :func:`~repro.graphs.validation.valid_weight`; topology-derived
         caches (diameter, feasibility) are shared with this handle, so no
         re-validation happens.
@@ -148,7 +148,14 @@ class GraphHandle:
         :attr:`delta_changes` (``{edge_position: new_weight}``).
         """
         if isinstance(weights, Mapping):
-            column = self._column_from_mapping(weights)
+            resolved = self._resolve_mapping(weights, "reweight")
+            if len(resolved) != len(self.edges):
+                raise GraphFormatError(
+                    f"reweight mapping names {len(resolved)} of the "
+                    f"{len(self.edges)} edges; a full mapping needs every "
+                    "edge (use reweight_delta for a sparse diff)"
+                )
+            column = [resolved[i] for i in range(len(self.edges))]
         else:
             column = list(weights)
             if len(column) != len(self.edges):
@@ -184,12 +191,12 @@ class GraphHandle:
     def reweight_delta(self, changed: Mapping) -> "GraphHandle":
         """:meth:`reweight` with a *sparse* weight diff against this handle.
 
-        ``changed`` maps edge keys — original labels or normalized ids, in
-        either endpoint order, all-or-nothing like :meth:`reweight` — to
-        new weights; every key must name an edge of this topology.  The
-        keys are resolved, patched into this handle's column, and the
-        result goes through :meth:`reweight`, so a delta and the equal
-        full column give equal handles.
+        ``changed`` maps edge keys — all original labels or all normalized
+        ids, in either endpoint order — to new weights; every key must
+        name an edge of this topology.  The keys are resolved, patched
+        into this handle's column, and the result goes through
+        :meth:`reweight`, so a delta and the equal full column give equal
+        handles.
         """
         if not isinstance(changed, Mapping):
             raise GraphFormatError(
@@ -197,7 +204,7 @@ class GraphHandle:
                 "full column use reweight()"
             )
         column = list(self.weights)
-        for i, w in self._resolve_sparse_mapping(changed).items():
+        for i, w in self._resolve_mapping(changed, "reweight_delta").items():
             column[i] = w
         return self.reweight(column)
 
@@ -239,54 +246,18 @@ class GraphHandle:
         clone._shared = self._shared
         return clone
 
-    def _column_from_mapping(self, mapping: Mapping) -> list[float]:
-        """Resolve a mapping keyed by edge (labels or ids) to handle order.
+    def _resolve_mapping(
+        self, changed: Mapping, caller: str
+    ) -> dict[int, object]:
+        """Resolve ``{edge: weight}`` keys to handle edge positions.
 
-        All-or-nothing: the mapping is interpreted under original labels
-        first, then under normalized ids — never mixing the two per edge.
+        All-or-nothing: every key must resolve under original labels, or
+        every key under normalized ids — never mixing the two per edge.
         (Integer labels can collide with normalized ids; a per-edge
-        fallback would silently bind weights to the wrong edges.)  An edge
-        supplied under *both* endpoint orders with numerically different
-        values is ambiguous and raises :class:`GraphFormatError` (which is
-        a ``ValueError``) instead of silently picking one order.
-        """
-        interpretations = (
-            lambda u, v: (self.nodes[u], self.nodes[v]),  # original labels
-            lambda u, v: (u, v),  # normalized ids
-        )
-        for keyer in interpretations:
-            column = []
-            for u, v in self.edges:
-                a, b = keyer(u, v)
-                fwd = (a, b) in mapping
-                rev = (a, b) != (b, a) and (b, a) in mapping
-                if fwd and rev and mapping[(a, b)] != mapping[(b, a)]:
-                    raise GraphFormatError(
-                        f"reweight mapping supplies edge ({a!r}, {b!r}) "
-                        f"under both key orders with different values "
-                        f"({mapping[(a, b)]!r} vs {mapping[(b, a)]!r})"
-                    )
-                if fwd:
-                    column.append(mapping[(a, b)])
-                elif rev:
-                    column.append(mapping[(b, a)])
-                else:
-                    break  # this interpretation misses an edge: try next
-            else:
-                return column
-        raise GraphFormatError(
-            "reweight mapping does not cover every edge under either key "
-            "scheme (use original labels or normalized ids, not a mixture)"
-        )
-
-    def _resolve_sparse_mapping(self, changed: Mapping) -> dict[int, object]:
-        """Resolve sparse ``{edge: weight}`` keys to handle edge positions.
-
-        Mirrors :meth:`_column_from_mapping`'s all-or-nothing key schemes:
-        every key must resolve under original labels, or every key under
-        normalized ids.  Both endpoint orders are accepted; supplying the
-        same edge twice with numerically different values raises
-        :class:`GraphFormatError`.
+        fallback would silently bind weights to the wrong edges.)  Both
+        endpoint orders are accepted; supplying the same edge twice with
+        numerically different values raises :class:`GraphFormatError`,
+        whose message names ``caller``.
         """
         pair_index = self._pair_index
         label_miss = None
@@ -298,7 +269,7 @@ class GraphHandle:
                     a, b = key
                 except (TypeError, ValueError):
                     raise GraphFormatError(
-                        f"reweight_delta keys must be edge pairs; got {key!r}"
+                        f"{caller} keys must be edge pairs; got {key!r}"
                     ) from None
                 if scheme == "labels":
                     try:
@@ -319,7 +290,7 @@ class GraphHandle:
                     break
                 if i in out and out[i] != w:
                     raise GraphFormatError(
-                        f"reweight_delta supplies edge {key!r} under both "
+                        f"{caller} supplies edge {key!r} under both "
                         f"key orders with different values "
                         f"({out[i]!r} vs {w!r})"
                     )
@@ -327,7 +298,7 @@ class GraphHandle:
             if ok:
                 return out
         raise GraphFormatError(
-            f"reweight_delta mapping has keys that are not edges of this "
+            f"{caller} mapping has keys that are not edges of this "
             f"topology under either key scheme (first miss: "
             f"{label_miss if label_miss is not None else key!r})"
         )

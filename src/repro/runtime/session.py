@@ -7,7 +7,7 @@ weight assignment) and exposes:
 * :meth:`SolverSession.solve` — one 2-ECSS query (``eps``, ``variant``,
   compute backend, engine, optional weight reassignment, optional failure
   plan) — or a k-ECSS query via ``k > 2`` (:mod:`repro.core.k_ecss`),
-  gated on the ``k-ecss`` backend capability — reusing every plan
+  gated on the engine's ``k-ecss`` capability — reusing every plan
   artifact a previous solve already built;
 * :meth:`SolverSession.solve_many` — the one batch entry point: a list
   of :class:`SolveQuery` records (or kwargs dicts), solved one at a time,
@@ -79,8 +79,8 @@ class SolveQuery:
     for engines with the ``failure-injection`` capability.  ``backend``
     and ``engine`` default to the session's own defaults when ``None``.
     ``k`` is the target edge connectivity (default 2; values above 2 need
-    the ``k-ecss`` capability on both the compute backend and the engine
-    and return a :class:`~repro.core.result.KEcssResult`).
+    an engine with the ``k-ecss`` capability and return a
+    :class:`~repro.core.result.KEcssResult`).
     """
 
     eps: float = 0.25
@@ -300,9 +300,8 @@ class SolverSession:
         exactly the existing 2-ECSS path; ``k > 2`` (up to
         :data:`repro.core.k_ecss.MAX_K`) runs the iterated augmentation
         rounds of :mod:`repro.core.k_ecss` on top of the same plan
-        artifacts and is gated on the ``k-ecss`` capability of both the
-        resolved compute backend and the engine (the ``sim`` engine does
-        not carry it).
+        artifacts and is gated on the engine's ``k-ecss`` capability (the
+        ``sim`` engine does not carry it; every compute flavor runs it).
 
         Returns a :class:`~repro.core.result.TwoEcssResult` for the
         ``local`` engine with ``k=2``, a
@@ -344,12 +343,6 @@ class SolverSession:
                 raise ValueError(
                     f"k={k} requires an engine with the 'k-ecss' "
                     f"capability (e.g. 'local'); got {engine!r}"
-                )
-            compute_spec = get_backend("compute", resolve_compute(backend))
-            if not compute_spec.has("k-ecss"):
-                raise ValueError(
-                    f"k={k} requires a compute backend with the 'k-ecss' "
-                    f"capability; got {backend!r}"
                 )
         self._counters["solves"] += 1
         with obs.span("session.solve", engine=engine, k=k):

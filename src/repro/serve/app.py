@@ -16,11 +16,14 @@ sockets.  Routes:
                           batcher stats, per-shard worker/session stats,
                           and the aggregated per-phase span breakdown
                           (:mod:`repro.obs`)
-``GET /backends``         the execution-backend registry
+``GET /backends``         the fixed table of execution backends
                           (:func:`repro.runtime.registry.registered_payload`)
 ========================  ====================================================
 
-A solve request flows: schema validation in the event loop (cheap) →
+A POST body is decoded once, as JSON or, under
+:data:`~repro.serve.protocol.FRAME_CONTENT_TYPE`, as a binary frame, and
+the route gets the decoded object.  A solve request flows: schema
+validation in the event loop (cheap) →
 topology resolution against the app's edge-payload store → the
 per-topology :class:`~repro.serve.batcher.MicroBatcher` → one batch
 inside the topology's shard
@@ -165,23 +168,23 @@ class ServeApp:
         """Route one request; always returns ``(status, JSON payload)``.
 
         ``headers`` (lowercase names) is optional: a ``Content-Type`` of
-        :data:`~repro.serve.protocol.FRAME_CONTENT_TYPE` selects the
-        binary frame decoding for the body — after array substitution the
-        request takes exactly the JSON route path, so framed and plain
-        requests are indistinguishable past this point.  Response *encoding*
-        negotiation (``Accept``) lives in the transport, which turns the
-        returned payload into a frame when asked; this layer always
-        returns the payload dict.
+        :data:`~repro.serve.protocol.FRAME_CONTENT_TYPE` makes a POST
+        route decode its body as a binary frame instead of JSON.  Either
+        way the body is decoded once, to the same object, so framed and
+        plain requests are indistinguishable past that point.  Response
+        *encoding* negotiation (``Accept``) lives in the transport, which
+        turns the returned payload into a frame when asked; this layer
+        always returns the payload dict.
         """
         self.metrics.inc("http.requests")
         t0 = time.perf_counter()
         try:
             content_type = (headers or {}).get("content-type", "")
-            if content_type.split(";", 1)[0].strip().lower() \
-                    == FRAME_CONTENT_TYPE:
+            framed = content_type.split(";", 1)[0].strip().lower() \
+                == FRAME_CONTENT_TYPE
+            if framed:
                 self.metrics.inc("http.frame_requests")
-                body = json.dumps(unpack_frame(body)).encode("utf-8")
-            status, payload = await self._route(method, path, body)
+            status, payload = await self._route(method, path, body, framed)
         except ProtocolError as exc:
             status, payload = exc.status, exc.payload()
         except Exception as exc:  # noqa: BLE001 - the wire gets JSON, not a trace
@@ -209,15 +212,22 @@ class ServeApp:
         return status, payload
 
     async def _route(
-        self, method: str, path: str, body: bytes
+        self, method: str, path: str, body: bytes, framed: bool
     ) -> tuple[int, dict]:
-        """The route table (exceptions handled by :meth:`handle`)."""
-        if path == "/v1/solve" and method == "POST":
-            return await self._solve_route(body)
-        if path == "/v1/solve_batch" and method == "POST":
-            return await self._solve_batch_route(body)
-        if path == "/v1/delta" and method == "POST":
-            return await self._delta_route(body)
+        """The route table (exceptions handled by :meth:`handle`).
+
+        A POST route gets its body decoded once, as a frame or as JSON,
+        with the decoding time; GET routes read no body.
+        """
+        post = {
+            "/v1/solve": self._solve_route,
+            "/v1/solve_batch": self._solve_batch_route,
+            "/v1/delta": self._delta_route,
+        }.get(path)
+        if post is not None and method == "POST":
+            t0 = time.perf_counter()
+            obj = unpack_frame(body) if framed else self._parse_body(body)
+            return await post(obj, time.perf_counter() - t0)
         if path == "/healthz" and method == "GET":
             return 200, self._healthz()
         if path == "/metrics" and method == "GET":
@@ -231,7 +241,7 @@ class ServeApp:
                 "backends": registered_payload(),
                 "max_k": MAX_K,
             }
-        if path in ("/v1/solve", "/v1/solve_batch", "/v1/delta"):
+        if post is not None:
             raise ProtocolError(
                 "method-not-allowed", f"{path} expects POST", status=405
             )
@@ -248,23 +258,34 @@ class ServeApp:
                 "bad-json", f"request body is not valid JSON: {exc}"
             ) from None
 
-    async def _solve_route(self, body: bytes) -> tuple[int, dict]:
+    async def _solve_route(
+        self, obj: object, decode_s: float
+    ) -> tuple[int, dict]:
         with obs.timer("serve.parse") as parse_clock:
-            request = parse_solve_request(self._parse_body(body))
-        return await self._solve_one(request, parse_s=parse_clock.duration_s)
+            request = parse_solve_request(obj)
+        return await self._solve_one(
+            request, parse_s=decode_s + parse_clock.duration_s
+        )
 
-    async def _delta_route(self, body: bytes) -> tuple[int, dict]:
+    async def _delta_route(
+        self, obj: object, decode_s: float
+    ) -> tuple[int, dict]:
         """Sparse re-solve: rides the same per-topology batching path as
         ``/v1/solve`` (delta requests coalesce with full requests for the
         topology), but can never register — an unknown fingerprint is the
         structured 404 that tells the client to degrade to a full solve."""
         with obs.timer("serve.parse") as parse_clock:
-            request = parse_delta_request(self._parse_body(body))
+            request = parse_delta_request(obj)
         self.metrics.inc("delta.requests")
-        return await self._solve_one(request, parse_s=parse_clock.duration_s)
+        return await self._solve_one(
+            request, parse_s=decode_s + parse_clock.duration_s
+        )
 
-    async def _solve_batch_route(self, body: bytes) -> tuple[int, dict]:
-        obj = self._parse_body(body)
+    async def _solve_batch_route(
+        self, obj: object, decode_s: float
+    ) -> tuple[int, dict]:
+        """Answer each item on its own; the envelope's ``decode_s`` is
+        shared by every item, so no item's ``serve.parse`` carries it."""
         if not isinstance(obj, dict) or not isinstance(
             obj.get("requests"), list
         ):

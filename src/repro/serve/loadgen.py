@@ -367,6 +367,13 @@ class _Traffic:
         return body, fallback
 
 
+#: The phases of a ``timings`` block that belong to one request.  Every
+#: other phase (``serve.dispatch``, ``worker.solve_batch`` and the spans
+#: under it) belongs to the coalesced batch and repeats in each of its
+#: responses.
+_PER_REQUEST_PHASES = frozenset({"serve.parse", "serve.batch_wait"})
+
+
 @dataclass
 class _Tally:
     """Mutable run accounting shared by the worker tasks."""
@@ -388,16 +395,27 @@ class _Tally:
         self.protocol_errors += 1
         self.error_codes[code] = self.error_codes.get(code, 0) + 1
 
-    def record_timings(self, timings) -> None:
-        """Fold one response's ``timings`` block into the phase totals."""
+    def record_ok(self, payload: dict) -> None:
+        """Count one solved request; fold in its batch size and timings.
+
+        A batch's shared phases are weighted by ``1 / batch_size``, so a
+        coalesced batch counts once however many of its responses arrive.
+        """
+        self.ok += 1
+        batch_size = payload.get("server", {}).get("batch_size")
+        if batch_size is not None:
+            self.batch_sizes.append(batch_size)
+        timings = payload.get("timings")
         if not isinstance(timings, dict):
             return
+        share = 1.0 / (batch_size or 1)
         for name, cell in timings.items():
             if not isinstance(cell, dict):
                 continue
-            slot = self.server_phases.setdefault(name, [0, 0.0])
-            slot[0] += int(cell.get("count", 0))
-            slot[1] += float(cell.get("total_ms", 0.0))
+            weight = 1.0 if name in _PER_REQUEST_PHASES else share
+            slot = self.server_phases.setdefault(name, [0.0, 0.0])
+            slot[0] += weight * int(cell.get("count", 0))
+            slot[1] += weight * float(cell.get("total_ms", 0.0))
 
 
 async def _issue_batch(
@@ -440,11 +458,7 @@ async def _issue_batch(
         error = item.get("error")
         if item.get("status") == 200 and not error:
             topo["key"] = item.get("topology", topo["key"])
-            tally.ok += 1
-            tally.record_timings(item.get("timings"))
-            server = item.get("server", {})
-            if "batch_size" in server:
-                tally.batch_sizes.append(server["batch_size"])
+            tally.record_ok(item)
         elif (error or {}).get("code") == "unknown-topology":
             # Store/worker eviction: re-register on the next request.
             topo["key"] = None
@@ -477,11 +491,7 @@ async def _issue(
     error = payload.get("error")
     if status == 200 and not error:
         topo["key"] = payload.get("topology", topo["key"])
-        tally.ok += 1
-        tally.record_timings(payload.get("timings"))
-        server = payload.get("server", {})
-        if "batch_size" in server:
-            tally.batch_sizes.append(server["batch_size"])
+        tally.record_ok(payload)
         return
     code = (error or {}).get("code", f"http-{status}")
     if code == "unknown-topology" and "topology" in body:
@@ -507,8 +517,7 @@ async def _issue(
             error = payload.get("error")
             if status == 200 and not error:
                 topo["key"] = payload.get("topology", topo["key"])
-                tally.ok += 1
-                tally.record_timings(payload.get("timings"))
+                tally.record_ok(payload)
                 return
             tally.record_error(
                 (error or {}).get("code", f"http-{status}")
@@ -631,7 +640,7 @@ async def _run(cfg: LoadgenConfig) -> dict:
         },
         "server_phases_ms": {
             name: {
-                "count": count,
+                "count": round(count, 3),
                 "total_ms": round(total, 3),
                 "mean_ms": round(total / count, 3) if count else 0.0,
             }

@@ -73,6 +73,8 @@ the header keeps the full JSON schema.  :func:`unpack_frame` substitutes
 the arrays back, making a framed request *equal as a parsed object* to its
 JSON twin — note the arrays are float64 by declaration, so the JSON twin
 of a framed request writes its weights as floats (``1.0``, not ``1``).
+The server hands that object straight to the route: a framed body is
+never re-encoded as JSON, and only its header is JSON-parsed.
 Responses to clients that ``Accept`` the frame type wrap the exact JSON
 payload in a zero-array frame.  Malformed frames fail with the structured
 ``bad-frame`` code, never a struct error.

@@ -135,6 +135,57 @@ class TestLossyComposition:
         assert dist.mismatch_counts.get("lca_labels", 0) > 0
         assert dist.result.weight == clean.result.weight
 
+    def test_string_labeled_twin_records_the_same_mismatches(self):
+        import networkx as nx
+
+        graph = make_family_instance("cycle_chords", 30, seed=1)
+        twin = nx.relabel_nodes(graph, {v: f"v{v}" for v in graph})
+        edges = sorted(tuple(sorted(e)) for e in graph.edges())
+
+        def plan_for(label) -> FailurePlan:
+            plan = FailurePlan()
+            for i, (u, v) in enumerate(edges[::3]):
+                plan.fail(label(u), label(v), rounds=range(1 + i % 5, 40, 2))
+            return plan
+
+        ints = distributed_two_ecss(graph, eps=0.5, failures=plan_for(int))
+        strs = distributed_two_ecss(
+            twin, eps=0.5, failures=plan_for(lambda v: f"v{v}")
+        )
+        assert ints.mismatch_counts
+        assert strs.mismatch_counts == ints.mismatch_counts
+
+    def test_plan_fails_exactly_the_callers_edges(self, monkeypatch):
+        import repro.dist.pipeline as pipeline
+        from repro.sim.engine import BatchedNetwork
+
+        # theta's int labels are not in 0..n-1 iteration order, so some
+        # caller edges name other pairs (or non-edges) as normalized ids.
+        graph = make_family_instance("theta", 60, seed=1)
+        plan = FailurePlan()
+        for u, v in graph.edges():
+            plan.fail(u, v, rounds=[1])
+        nets = []
+
+        class Recording(BatchedNetwork):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        monkeypatch.setattr(pipeline, "BatchedNetwork", Recording)
+        distributed_two_ecss(graph, eps=0.5, failures=plan)
+        (net,) = nets
+        nodes = list(graph.nodes())
+        failed = net.failures.by_round[1]
+        assert {(nodes[a], nodes[b]) for a, b in failed} == plan.by_round[1]
+
+    def test_plan_naming_an_unknown_node_raises(self):
+        graph = make_family_instance("cycle_chords", 18, seed=1)
+        with pytest.raises(ValueError, match="node 99"):
+            distributed_two_ecss(
+                graph, eps=0.5, failures=FailurePlan().fail(0, 99)
+            )
+
     def test_scenario_runner_sweeps_dist_specs(self):
         runner = ScenarioRunner()
         results = runner.sweep(

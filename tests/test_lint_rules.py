@@ -143,6 +143,21 @@ def test_issue_required_fixtures_present():
     assert "reg-capability" in rules_hit(run_fixture("reg_capability_bad.py"))
 
 
+def test_capability_declarations_are_found_in_src():
+    """`reg-capability` sees the backend table's declarations.
+
+    The rule reads only ``capabilities=`` keywords of ``BackendSpec(...)``
+    calls and passes silently when it finds none, so a table written
+    another way would switch the rule off without a finding.
+    """
+    from tools.lint.rules.consistency import _declared_capabilities
+
+    declared = _declared_capabilities(
+        load_project(paths=["src/repro"], docs=())
+    )
+    assert {"failure-injection", "k-ecss"} <= declared
+
+
 def test_suppression_moves_finding_to_suppressed_bucket():
     """A reasoned disable comment suppresses without hiding the count."""
     result = run_fixture("suppression_good.py")

@@ -702,6 +702,54 @@ def test_framed_request_equals_json_request():
     assert framed_body == plain_body
 
 
+def test_request_bodies_are_decoded_once(monkeypatch):
+    """A JSON body costs the app one ``json.loads``; a framed body costs
+    it none and no ``json.dumps``: it decodes straight to the object its
+    JSON twin parses to."""
+    import types
+
+    import repro.serve.app as app_module
+    from repro.serve.app import ServeApp, ServeConfig
+
+    loads = []
+
+    def counted_loads(text):
+        loads.append(text)
+        return json.loads(text)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("the app re-encoded a request body as JSON")
+
+    monkeypatch.setattr(app_module, "json", types.SimpleNamespace(
+        loads=counted_loads, dumps=no_dumps,
+        JSONDecodeError=json.JSONDecodeError,
+    ))
+    graph = make_family_instance("cycle_chords", 20, seed=14)
+    header, columns, plain = _batch_bodies(graph)
+
+    async def post(body: bytes, content_type: str):
+        app = ServeApp(ServeConfig(workers=0))
+        await app.startup()
+        try:
+            return await app.handle(
+                "POST", "/v1/solve_batch", body,
+                {"content-type": content_type},
+            )
+        finally:
+            await app.shutdown()
+
+    plain_status, plain_payload = asyncio.run(
+        post(json.dumps(plain).encode(), "application/json")
+    )
+    assert len(loads) == 1
+    framed_status, framed_payload = asyncio.run(
+        post(pack_frame(header, columns), FRAME_CONTENT_TYPE)
+    )
+    assert len(loads) == 1
+    assert framed_status == plain_status == 200
+    assert framed_payload == plain_payload
+
+
 def test_framed_response_decodes_to_exact_json_body():
     graph = make_family_instance("grid", 16, seed=15)
     header, columns, _ = _batch_bodies(graph)

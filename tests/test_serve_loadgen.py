@@ -52,3 +52,32 @@ def test_request_cap_stops_early():
 def test_unreachable_server_raises():
     with pytest.raises(OSError):
         run_loadgen(_cfg(port=1, duration_s=0.2))
+
+
+def test_batch_shared_phases_count_once_per_batch():
+    from repro.serve.loadgen import _Tally
+
+    def response(parse_ms: float) -> dict:
+        # The two responses of one size-2 batch carry the same worker tree
+        # and dispatch, but each its own parse and batch wait.
+        return {
+            "server": {"shard": 0, "batch_size": 2},
+            "timings": {
+                "serve.parse": {"count": 1, "total_ms": parse_ms},
+                "serve.batch_wait": {"count": 1, "total_ms": 9.0},
+                "serve.dispatch": {"count": 1, "total_ms": 8.0},
+                "worker.solve_batch": {"count": 1, "total_ms": 6.0},
+                "session.solve": {"count": 2, "total_ms": 5.0},
+            },
+        }
+
+    tally = _Tally()
+    tally.record_ok(response(0.5))
+    tally.record_ok(response(1.5))
+    assert tally.ok == 2
+    assert tally.batch_sizes == [2, 2]
+    assert tally.server_phases["worker.solve_batch"] == [1.0, 6.0]
+    assert tally.server_phases["session.solve"] == [2.0, 5.0]
+    assert tally.server_phases["serve.dispatch"] == [1.0, 8.0]
+    assert tally.server_phases["serve.parse"] == [2.0, 2.0]
+    assert tally.server_phases["serve.batch_wait"] == [2.0, 18.0]

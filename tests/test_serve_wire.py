@@ -122,6 +122,13 @@ def test_solve_bit_identical_sim_engine_and_failures():
         )
         assert explicit["result"] == want_explicit
 
+        status, unknown = await client.request("POST", "/v1/solve", {
+            "topology": clean["topology"], "eps": 0.5, "engine": "sim",
+            "failures": {"edges": [{"u": 0, "v": 999}]},
+        })
+        assert status == 400, unknown
+        assert unknown["error"]["code"] == "bad-request"
+
     serve_session(scenario)
 
 
