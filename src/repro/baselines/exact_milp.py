@@ -18,18 +18,18 @@
 
 These are evaluation-side tools: NP-hardness caps them at small/medium
 sizes, which is exactly how the experiments use them (DESIGN.md, E1/E3/E6).
+The MILP solvers import numpy and scipy (both optional) on first use, so
+the brute-force solvers and every importer of this module work without
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import networkx as nx
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.exceptions import NotTwoEdgeConnectedError, SolverError
 from repro.graphs.validation import (
@@ -38,6 +38,10 @@ from repro.graphs.validation import (
     ensure_weights,
 )
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+    from scipy import sparse
 
 __all__ = [
     "exact_tap_milp",
@@ -58,7 +62,18 @@ class MilpResult:
     iterations: int = 1  # separation rounds (2-ECSS only)
 
 
+def _milp_modules():
+    """``(numpy, scipy.sparse)``, imported when a MILP is first built."""
+    import numpy
+    from scipy import sparse
+
+    return numpy, sparse
+
+
 def _solve_binary_min(c: np.ndarray, a: sparse.csr_matrix, lb: np.ndarray) -> np.ndarray:
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    np, _ = _milp_modules()
     constraints = LinearConstraint(a, lb, np.full(len(lb), np.inf))
     res = milp(
         c,
@@ -83,14 +98,15 @@ def exact_tap_milp(
         for t in tree.path_edges(u, v):
             rows.append(t)
             cols.append(j)
+    covered = set(rows)
+    for t in tree.tree_edges():
+        if t not in covered:
+            raise NotTwoEdgeConnectedError(f"tree edge {t} is uncoverable")
+    np, sparse = _milp_modules()
     m = len(link_list)
     a = sparse.csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(tree.n, m)
     )
-    covered_rows = np.asarray((a.sum(axis=1) > 0)).ravel()
-    for t in tree.tree_edges():
-        if not covered_rows[t]:
-            raise NotTwoEdgeConnectedError(f"tree edge {t} is uncoverable")
     # Root row is all-zero; keep only real tree-edge rows.
     keep = [t for t in tree.tree_edges()]
     a = a[keep, :]
@@ -104,6 +120,7 @@ def exact_two_ecss_milp(graph: nx.Graph, max_rounds: int = 200) -> MilpResult:
     """Exact minimum-weight 2-ECSS via cut MILP with lazy separation."""
     ensure_weights(graph)
     check_two_edge_connected(graph)
+    np, sparse = _milp_modules()
     nodes = list(graph.nodes())
     index = {u: i for i, u in enumerate(nodes)}
     edges = [(index[u], index[v], float(d["weight"])) for u, v, d in graph.edges(data=True)]
@@ -178,6 +195,7 @@ def exact_k_ecss_milp(
         raise ValueError(f"k must be an int >= 2, got {k!r}")
     ensure_weights(graph)
     check_k_edge_connected(graph, k)
+    np, sparse = _milp_modules()
     nodes = list(graph.nodes())
     index = {u: i for i, u in enumerate(nodes)}
     edges = [

@@ -15,6 +15,12 @@ The algorithm's approximation guarantee is *checkable on every run*:
 Together these give ``w(B) <= c (1 + eps) OPT'`` — the exact chain of
 inequalities in Lemma 3.1 — so the functions below both validate runs and
 produce certified lower bounds for the experiment reports.
+
+:func:`uncovered_tree_edge` certifies the assembled 2-ECSS itself (Claim
+2.1): a spanning tree plus links is 2-edge-connected iff every tree edge
+lies on some link's tree path.  It reads the links in the original graph's
+ids, not the virtual edges, so it stays independent of the virtual-graph
+mapping the checks above run on.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Iterable, Sequence
 
 from repro.core.instance import TAPInstance
 from repro.exceptions import InvariantViolation
+from repro.trees.rooted import RootedTree
 
 __all__ = [
     "dual_slacks",
@@ -32,6 +39,7 @@ __all__ = [
     "validate_coverage_bound",
     "dual_lower_bound",
     "certified_ratio",
+    "uncovered_tree_edge",
 ]
 
 _TOL = 1e-6
@@ -125,3 +133,36 @@ def certified_ratio(weight: float, lower_bound: float) -> float:
     if lower_bound <= 0:
         return float("inf") if weight > 0 else 1.0
     return weight / lower_bound
+
+
+def uncovered_tree_edge(
+    tree: RootedTree, links: Iterable[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """The first tree edge no link covers, or ``None`` if all are covered.
+
+    Tree edge ``(v, parent(v))`` is a bridge of ``tree ∪ links`` exactly
+    when no link's tree path crosses it.  Each link adds +1 at both
+    endpoints and -2 at their LCA; ``v``'s subtree sum then counts the
+    links whose path crosses ``(v, parent(v))``.  The uncovered edges are
+    compared as sorted pairs and the smallest is returned, so both
+    backends name the same one.  Pure Python over ``tree``; the numpy
+    twin is :func:`repro.fast.certificates.uncovered_tree_edge`.
+    """
+    delta = [0] * tree.n
+    for u, v in links:
+        delta[u] += 1
+        delta[v] += 1
+        delta[tree.lca(u, v)] -= 2
+    parent = tree.parent
+    # Reverse preorder visits a vertex after all of its descendants.
+    for v in reversed(tree.order):
+        if parent[v] >= 0:
+            delta[parent[v]] += delta[v]
+    return min(
+        (
+            (v, parent[v]) if v < parent[v] else (parent[v], v)
+            for v in tree.tree_edges()
+            if delta[v] == 0
+        ),
+        default=None,
+    )

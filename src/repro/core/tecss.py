@@ -27,9 +27,10 @@ import networkx as nx
 
 from typing import Any, Sequence
 
+from repro.core.certificates import uncovered_tree_edge
 from repro.core.result import TapResult, TwoEcssResult
 from repro.core.reverse import COVER_BOUND
-from repro.exceptions import InvariantViolation
+from repro.exceptions import InvariantViolation, NotATreeError
 from repro.trees.rooted import RootedTree
 
 __all__ = [
@@ -110,6 +111,8 @@ def assemble_two_ecss(
     mst_weight: float | None = None,
     n: int | None = None,
     mst_edges_out: list | None = None,
+    tree: RootedTree | None = None,
+    tree_arrays: Any = None,
 ) -> TwoEcssResult:
     """Combine MST + TAP augmentation into a validated :class:`TwoEcssResult`.
 
@@ -132,6 +135,17 @@ def assemble_two_ecss(
     optionally supplies the label-mapped MST edge list (a plan's
     ``labeled_mst_edges``), which results over one tree then share,
     read-only by convention.
+
+    ``validate`` certifies the result by Claim 2.1's cover condition
+    instead of a graph traversal: every link must be an edge of ``g``,
+    and every MST edge must lie on some link's tree path
+    (:func:`repro.core.certificates.uncovered_tree_edge`); the first
+    uncovered edge is named as the bridge.  ``tree`` is the MST rooted
+    as the plan roots it, ``tree_arrays`` its
+    :class:`~repro.fast.treearrays.TreeArrays` (numpy certificate); a
+    call that passes neither roots ``mst_edges`` itself.  Validation
+    reads ``g`` only for the link-membership lookups, which cost
+    O(links).
     """
     mst_set = set(mst_edges)
     if mst_weight is None:
@@ -144,12 +158,29 @@ def assemble_two_ecss(
 
     if validate:
         # The input was checked when its handle was built: a gap here is
-        # the solver's, so it is named in the caller's labels.
-        sub = g.edge_subgraph(chosen).copy()
-        sub.add_nodes_from(g.nodes())
-        if not nx.is_connected(sub):
-            raise InvariantViolation("the returned subgraph is not connected")
-        bridge = next(nx.bridges(sub), None)
+        # the solver's, so it is named in the caller's labels.  A link
+        # that repeats an MST edge adds no parallel edge, so covers nothing.
+        links = [e for e in aug_edges if e not in mst_set]
+        for u, v in links:
+            if not g.has_edge(u, v):
+                raise InvariantViolation(
+                    f"the returned link ({u}, {v}) (normalized ids) is not "
+                    "an edge of the input graph"
+                )
+        if tree_arrays is not None:
+            from repro.fast import certificates as fast_certificates
+
+            bridge = fast_certificates.uncovered_tree_edge(tree_arrays, links)
+        else:
+            if tree is None:
+                try:
+                    tree = RootedTree.from_edges(n, mst_edges, root=0)
+                except NotATreeError as exc:
+                    raise InvariantViolation(
+                        f"the returned MST edges are not a spanning tree: "
+                        f"{exc}"
+                    ) from None
+            bridge = uncovered_tree_edge(tree, links)
         if bridge is not None:
             u, v = bridge
             raise InvariantViolation(

@@ -59,7 +59,8 @@ from repro.dist.programs import (
     layer_aggregate,
     subtree_size_aggregate,
 )
-from repro.exceptions import SimulationError
+from repro.exceptions import InvalidFailurePlanError, SimulationError
+from repro.graphs.validation import exact_diameter
 from repro.sim.engine import BatchedNetwork
 from repro.sim.failures import FailurePlan
 from repro.sim.mst import BoruvkaMST
@@ -147,21 +148,39 @@ class _GatherHooks:
             )
 
 
-def _failures_in_ids(failures: FailurePlan, index: dict) -> FailurePlan:
-    """``failures`` with its caller-labeled pairs mapped through ``index``."""
-    try:
-        return FailurePlan(
-            by_round={
-                r: {(index[u], index[v]) for u, v in pairs}
-                for r, pairs in failures.by_round.items()
-            },
-            always={(index[u], index[v]) for u, v in failures.always},
-        )
-    except KeyError as exc:
-        raise ValueError(
-            f"failure plan names node {exc.args[0]!r}, which the graph "
-            "does not have"
-        ) from None
+def _failures_in_ids(failures: FailurePlan, handle) -> FailurePlan:
+    """``failures`` with its caller-labeled pairs mapped to ``handle``'s ids.
+
+    Every pair must name an edge of the graph: one naming an absent node
+    or two non-adjacent nodes raises :class:`InvalidFailurePlanError`
+    (the engine consults only pairs that carry messages, so a non-edge
+    would fail nothing, silently).
+    """
+    index, edges = handle.index, handle._pair_index
+
+    def to_ids(u, v):
+        """The normalized edge of the caller-labeled pair ``(u, v)``."""
+        for label in (u, v):
+            if label not in index:
+                raise InvalidFailurePlanError(
+                    f"failure plan names node {label!r}, which the graph "
+                    "does not have"
+                )
+        pair = (index[u], index[v])
+        if pair not in edges:
+            raise InvalidFailurePlanError(
+                f"failure plan names ({u!r}, {v!r}), which is not an edge "
+                "of the graph"
+            )
+        return pair
+
+    return FailurePlan(
+        by_round={
+            r: {to_ids(u, v) for u, v in pairs}
+            for r, pairs in failures.by_round.items()
+        },
+        always={to_ids(u, v) for u, v in failures.always},
+    )
 
 
 def distributed_two_ecss(
@@ -185,10 +204,12 @@ def distributed_two_ecss(
     raised, and the solver continues on the reference values so the
     returned solution stays valid.  The plan names edges in the caller's
     labels (those of ``graph``, or of the graph ``plan`` was built from);
-    they are mapped to the engine's normalized ids here, and a plan
-    naming a node the graph lacks raises ``ValueError``.  ``ratio_bound``
-    is the documented constant factor for the rounds-vs-model comparison
-    rows.
+    they are mapped to the engine's normalized ids here, before any
+    engine work, and a plan naming a node the graph lacks or a pair that
+    is not an edge raises
+    :class:`~repro.exceptions.InvalidFailurePlanError` (a
+    ``ValueError``).  ``ratio_bound`` is the documented constant factor
+    for the rounds-vs-model comparison rows.
 
     ``plan`` (a :class:`repro.runtime.plan.SolverPlan`) supplies the
     cached centralized artifacts — validation, normalization, MST,
@@ -218,7 +239,7 @@ def distributed_two_ecss(
 
     strict = failures is None
     if failures is not None:
-        failures = _failures_in_ids(failures, plan.handle.index)
+        failures = _failures_in_ids(failures, plan.handle)
     net = BatchedNetwork(
         g, words_per_edge, scheduler=scheduler, failures=failures
     )
@@ -322,11 +343,16 @@ def distributed_two_ecss(
         validate=validate, backend="reference",
     )
     result = assemble_two_ecss(
-        g, nodes, mst_edges, tap, validate=validate, diameter=plan.diameter
+        g, nodes, mst_edges, tap, validate=validate, diameter=plan.diameter,
+        tree=tree,
     )
 
-    # 7. Price the measured runs with the Level-M model.
-    diameter = result.diameter if result.diameter >= 0 else nx.diameter(g)
+    # 7. Price the measured runs with the Level-M model (the result's
+    # diameter is -1 above its size cutoff; the model needs the true D).
+    diameter = (
+        result.diameter if result.diameter >= 0
+        else exact_diameter(plan.handle.n, plan.handle.edges)
+    )
     model = RoundCostModel(g.number_of_nodes(), diameter)
     pricing = {
         # One sweep computes every layer; Claim 4.10 prices them per layer.

@@ -23,6 +23,15 @@ class GraphFormatError(ReproError, ValueError):
     """
 
 
+class InvalidFailurePlanError(ReproError, ValueError):
+    """A failure plan names a node or an edge the graph does not have.
+
+    Also a :class:`ValueError`, like :class:`GraphFormatError`: the plan is
+    a bad argument value.  The serving layer answers it with
+    ``invalid-failures``.
+    """
+
+
 class NotConnectedError(ReproError):
     """The input graph is not connected."""
 

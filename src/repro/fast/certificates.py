@@ -21,6 +21,7 @@ __all__ = [
     "validate_tightness",
     "validate_cover",
     "validate_coverage_bound",
+    "uncovered_tree_edge",
 ]
 
 
@@ -103,3 +104,26 @@ def validate_coverage_bound(
     if not dual.any():
         return 0
     return int(counts[dual].max())
+
+
+def uncovered_tree_edge(ta, links: Sequence[tuple[int, int]]):
+    """Vectorized :func:`repro.core.certificates.uncovered_tree_edge`.
+
+    ``ta`` is the :class:`~repro.fast.treearrays.TreeArrays` of the tree;
+    a link's tree path is the two vertical paths from its endpoints up to
+    their batch-kernel LCA, counted by the exact int64 cover kernel.
+    """
+    np = require_numpy()
+    pairs = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    lca = ta.batch_lca(u, v)
+    counts = ta.path_cover_counts(
+        np.concatenate((u, v)), np.concatenate((lca, lca))
+    )
+    bad = np.flatnonzero((counts == 0) & ta.nonroot)
+    if not bad.size:
+        return None
+    lo = np.minimum(bad, ta.parent[bad])
+    hi = np.maximum(bad, ta.parent[bad])
+    first = int(np.argmin(lo * ta.n + hi))
+    return int(lo[first]), int(hi[first])

@@ -20,7 +20,10 @@ exactness contract the differential suite relies on:
   ``np.minimum.at`` and pushed down level by level.  With integer keys the
   result is exact; with float values it computes the same minimum as the
   reference segment tree (minimum of a set of doubles does not depend on
-  association order).
+  association order);
+* :func:`csr_adjacency` and :func:`bitparallel_diameter` are the graph
+  side: the exact diameter as an all-sources BFS that advances 64 sources
+  per ``uint64`` word — pure integer bit operations, hence exact.
 
 All functions take plain numpy arrays so they can be unit-tested against
 the reference tree structures directly (``tests/test_fast_kernels.py``).
@@ -28,6 +31,9 @@ the reference tree structures directly (``tests/test_fast_kernels.py``).
 
 from __future__ import annotations
 
+from itertools import chain
+
+from repro.exceptions import NotConnectedError
 from repro.fast import require_numpy
 
 __all__ = [
@@ -35,7 +41,9 @@ __all__ = [
     "ancestor_sums_levels",
     "batch_ancestor_at_depth",
     "batch_lca",
+    "bitparallel_diameter",
     "build_lift_table",
+    "csr_adjacency",
     "depth_levels",
     "path_chmin",
     "path_cover_counts",
@@ -233,3 +241,70 @@ def path_chmin(up, depth, n, dec, anc, values, identity):
         np.minimum(table[kk - 1], level, out=table[kk - 1])
         np.minimum.at(table[kk - 1], up[kk - 1][live], level[live])
     return table[0]
+
+
+def csr_adjacency(n, edges):
+    """CSR adjacency ``(indptr, indices)`` of undirected edges on ``0..n-1``.
+
+    ``edges`` is a sized collection of ``(u, v)`` pairs (a list of
+    tuples, an ``nx.Graph.edges()`` view); each edge appears in both
+    endpoints' rows.  Rows list neighbours in edge order, which no
+    consumer depends on.
+    """
+    np = _numpy()
+    flat = np.fromiter(
+        chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges)
+    )
+    src = np.concatenate((flat[0::2], flat[1::2]))
+    dst = np.concatenate((flat[1::2], flat[0::2]))
+    indices = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+def bitparallel_diameter(indptr, indices):
+    """Exact diameter of a connected graph given as CSR adjacency.
+
+    An all-sources BFS, 64 sources at a time: bit ``j`` of ``seen[v]``
+    says source ``s0 + j`` has reached ``v``.  Each level gathers the
+    frontier words over every adjacency entry, ORs each vertex's row
+    with one ``np.bitwise_or.reduceat`` and masks out what was seen.  A
+    word's BFS ends when no bit is new; its level count is the largest
+    eccentricity among its sources, and the diameter is the largest over
+    all words.  Raises :class:`~repro.exceptions.NotConnectedError` when
+    some vertex is unreachable (as ``nx.diameter`` raises).
+
+    A vertex of degree 0 would give ``reduceat`` an empty segment, which
+    yields the next row's first entry instead of 0; such a vertex makes
+    a graph of ``n >= 2`` disconnected, so it is rejected up front.
+    """
+    np = _numpy()
+    n = len(indptr) - 1
+    if n <= 1:
+        return 0
+    starts = indptr[:-1]
+    if (np.diff(indptr) == 0).any():
+        raise NotConnectedError("graph is not connected: a vertex has no edges")
+    bits = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+    diameter = 0
+    for s0 in range(0, n, 64):
+        k = min(64, n - s0)
+        frontier = np.zeros(n, dtype=np.uint64)
+        frontier[s0 : s0 + k] = bits[:k]
+        seen = frontier.copy()
+        level = 0
+        while True:
+            new = np.bitwise_or.reduceat(frontier[indices], starts)
+            new &= ~seen
+            if not new.any():
+                break
+            seen |= new
+            frontier = new
+            level += 1
+        if (seen != np.bitwise_or.reduce(bits[:k])).any():
+            raise NotConnectedError(
+                "graph is not connected: a BFS did not reach every vertex"
+            )
+        diameter = max(diameter, level)
+    return diameter

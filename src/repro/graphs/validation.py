@@ -1,13 +1,17 @@
-"""Input validation: connectivity, 2-edge-connectivity, weights.
+"""Input validation: connectivity, 2-edge-connectivity, weights — and the
+exact diameter.
 
 2-edge-connectivity is the feasibility condition for both TAP and 2-ECSS
 (paper, Section 2): a graph admits a 2-edge-connected spanning subgraph iff it
-is itself 2-edge-connected, i.e. connected and bridgeless.
+is itself 2-edge-connected, i.e. connected and bridgeless.  The diameter
+``D`` is the other input of the ``O~(D + sqrt(n))`` round model;
+:func:`exact_diameter` is the one function that computes it.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Sized
 
 import networkx as nx
 
@@ -19,6 +23,7 @@ from repro.exceptions import (
 )
 
 __all__ = [
+    "exact_diameter",
     "valid_weight",
     "ensure_weights",
     "find_bridges",
@@ -138,6 +143,31 @@ def check_k_edge_connected(graph: nx.Graph, k: int) -> None:
             f"graph has edge connectivity {connectivity} < {k}; "
             f"no {k}-ECSS exists"
         )
+
+
+def exact_diameter(n: int, edges: Sized) -> int:
+    """The exact diameter of the graph on ``0..n-1`` with these edges.
+
+    ``edges`` is a sized collection of ``(u, v)`` pairs (a handle's edge
+    list, an ``nx.Graph.edges()`` view).  With numpy this is the
+    bit-parallel all-sources BFS of
+    :func:`repro.fast.kernels.bitparallel_diameter`; without it,
+    ``nx.diameter``.  Both are exact, so they agree on every graph.
+    Raises :class:`~repro.exceptions.NotConnectedError` on a
+    disconnected graph.
+    """
+    from repro.fast import HAVE_NUMPY
+
+    if HAVE_NUMPY:
+        from repro.fast.kernels import bitparallel_diameter, csr_adjacency
+
+        return bitparallel_diameter(*csr_adjacency(n, edges))
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    if not nx.is_connected(g):
+        raise NotConnectedError("graph is not connected")
+    return nx.diameter(g)
 
 
 def normalize_graph(graph: nx.Graph) -> tuple[nx.Graph, list, dict]:

@@ -41,6 +41,7 @@ from repro.fast import HAVE_NUMPY, require_numpy
 from repro.graphs.validation import (
     check_two_edge_connected,
     ensure_weights,
+    exact_diameter,
     normalize_graph,
     valid_weight,
 )
@@ -337,18 +338,21 @@ class GraphHandle:
 
     @property
     def diameter(self) -> int:
-        """Graph diameter when ``n <= 4000``, else ``-1`` (topology-only).
+        """Exact graph diameter when ``n <= 4000``, else ``-1`` (topology-only).
 
         The one owner of the result-diameter rule: every result's
         ``diameter`` field (2-ECSS, k-ECSS, shortcut 2-ECSS) comes from
-        here through a plan.  Shared by reference across :meth:`reweight`
-        variants — the single biggest rebuild cost the session amortizes
-        on mid-size graphs.  Any handle on the topology may compute it;
-        all of them then see it.
+        here through a plan.  Computed from the flat edge arrays by
+        :func:`~repro.graphs.validation.exact_diameter`: a bit-parallel
+        all-sources BFS with numpy, ``nx.diameter`` without.  The cutoff
+        stays because that BFS's cost grows with the diameter: seconds on
+        long-diameter graphs (lollipop, theta) near the cutoff.
+        Shared by reference across :meth:`reweight` variants: any handle
+        on the topology may compute it; all of them then see it.
         """
         d = self._shared.get("diameter")
         if d is None:
-            d = nx.diameter(self.graph) if self.n <= 4000 else -1
+            d = exact_diameter(self.n, self.edges) if self.n <= 4000 else -1
             self._shared["diameter"] = d
         return int(d)
 

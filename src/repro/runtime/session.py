@@ -450,16 +450,19 @@ class SolverSession:
                 inst, fwd, rev, eps=eps, variant=variant,
                 segmented=segmented, validate=validate, backend=flavor,
             )
-            # Only validation walks an nx.Graph, and it reads structure
-            # only: the base handle's graph serves every weight column, so
-            # no reweighted handle builds one (an O(m) build and a graph
-            # per cached plan for the collector to walk).
+            # Validation certifies the cover on the plan's tree (the fast
+            # flavor on the instance's cached tree arrays) and reads the
+            # graph only to look the links up: the base handle's graph
+            # serves every weight column, so no reweighted handle builds
+            # one.
             return assemble_two_ecss(
                 self.handle.graph if validate else None,
                 plan.nodes, plan.mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
                 diameter=plan.diameter, mst_weight=plan.mst_weight,
                 n=plan.handle.n, mst_edges_out=plan.labeled_mst_edges,
+                tree=plan.tree,
+                tree_arrays=inst.arrays.ta if flavor == "fast" else None,
             )
 
     @staticmethod

@@ -429,6 +429,10 @@ def validate_failure_spec(spec: object) -> dict:
     * ``{"edges": [{"u": 0, "v": 1, "rounds": [1, 2], "symmetric": true},
       ...]}`` — explicit per-edge drops (``rounds`` omitted or ``null``
       means every round).
+
+    The topology is not known here, so a pair that names no edge of it
+    is rejected by the worker, with the same ``invalid-failures`` code
+    (:func:`repro.dist.pipeline.distributed_two_ecss`).
     """
     if not isinstance(spec, dict) or not ({"random", "edges"} & set(spec)):
         raise ProtocolError(
@@ -471,6 +475,15 @@ def validate_failure_spec(spec: object) -> dict:
                     "invalid-failures",
                     f"failures.edges[{i}] needs u and v", field="failures",
                 )
+            for end in ("u", "v"):
+                if isinstance(item[end], bool) or not isinstance(
+                    item[end], (int, str)
+                ):
+                    raise ProtocolError(
+                        "invalid-failures",
+                        f"failures.edges[{i}].{end} must be an int or str "
+                        "node label", field="failures",
+                    )
             rounds = item.get("rounds")
             if rounds is not None and (
                 not isinstance(rounds, list)

@@ -79,14 +79,16 @@ def configure_worker(settings: dict | None = None) -> None:
 def _exception_codes() -> "dict[type, tuple[str, int]]":
     """The declarative exception -> ``(code, status)`` mapping.
 
-    Order matters and is most-specific-first: ``UnknownBackendError`` and
-    ``GraphFormatError`` both subclass ``ValueError``, so the generic
-    ``ValueError`` row must come last.  The lint rule ``proto-error-code``
-    reads the codes out of this table, so every code here must appear in
+    Order matters and is most-specific-first: ``UnknownBackendError``,
+    ``InvalidFailurePlanError`` and ``GraphFormatError`` subclass
+    ``ValueError``, so the generic ``ValueError`` row must come last.
+    The lint rule ``proto-error-code`` reads the codes out of this table,
+    so every code here must appear in
     :data:`repro.serve.protocol.ERROR_CODES`.
     """
     from repro.exceptions import (
         GraphFormatError,
+        InvalidFailurePlanError,
         NotConnectedError,
         NotKEdgeConnectedError,
         NotTwoEdgeConnectedError,
@@ -95,6 +97,7 @@ def _exception_codes() -> "dict[type, tuple[str, int]]":
 
     _EXCEPTION_CODES = {
         UnknownBackendError: ("unknown-backend", 400),
+        InvalidFailurePlanError: ("invalid-failures", 400),
         NotConnectedError: ("not-connected", 422),
         NotKEdgeConnectedError: ("not-k-edge-connected", 422),
         NotTwoEdgeConnectedError: ("not-two-edge-connected", 422),

@@ -80,14 +80,25 @@ def random_failure_plan(
     seed: int = 0,
     symmetric: bool = True,
 ) -> FailurePlan:
-    """Seeded plan failing each edge independently with prob ``p`` per round."""
+    """Seeded plan failing each edge independently with prob ``p`` per round.
+
+    The draw visits the edges ordered by their endpoints' positions in
+    ``graph.nodes()``, never by comparing labels, so any hashable labels
+    work (ints and strs mixed) and a relabeled twin with the same node
+    order draws the same plan.  On nodes iterating ``0..n-1`` ascending
+    this is the sorted order of the edges.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"failure probability must be in [0, 1]; got {p}")
     rng = random.Random(seed)
     plan = FailurePlan()
-    edges = sorted(tuple(sorted(e)) for e in graph.edges())
+    nodes = list(graph.nodes())
+    position = {u: i for i, u in enumerate(nodes)}
+    pairs = sorted(
+        tuple(sorted((position[u], position[v]))) for u, v in graph.edges()
+    )
     for r in range(1, max_rounds + 1):
-        for u, v in edges:
+        for i, j in pairs:
             if rng.random() < p:
-                plan.fail(u, v, rounds=[r], symmetric=symmetric)
+                plan.fail(nodes[i], nodes[j], rounds=[r], symmetric=symmetric)
     return plan

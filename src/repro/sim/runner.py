@@ -21,6 +21,7 @@ import networkx as nx
 
 from repro.core.rounds import PrimitiveLog, RoundCostModel
 from repro.graphs.families import make_family_instance
+from repro.graphs.validation import exact_diameter
 from repro.sim.engine import BatchedNetwork, NodeProgram, RunStats
 from repro.sim.programs import DistributedBFS, FloodMin
 
@@ -144,7 +145,7 @@ class ScenarioRunner:
             scheduler=self.scheduler, failures=self.failures,
         )
         stats = net.run(spec.build(graph), max_rounds=max_rounds)
-        diameter = nx.diameter(graph)
+        diameter = exact_diameter(net.n, graph.edges())
         model = RoundCostModel(net.n, diameter)
         log = PrimitiveLog()
         for primitive, count in spec.primitives.items():

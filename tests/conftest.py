@@ -9,6 +9,19 @@ import pytest
 
 from repro.trees.rooted import RootedTree
 
+try:  # the MILP baselines need numpy and scipy, both optional
+    import scipy.optimize  # noqa: F401
+except ImportError:
+    HAVE_MILP = False
+else:
+    HAVE_MILP = True
+
+#: Marks a test that solves a MILP baseline: skipped on an install
+#: without numpy or scipy (CI's numpy-free job).
+needs_milp = pytest.mark.skipif(
+    not HAVE_MILP, reason="the MILP baselines need numpy and scipy"
+)
+
 
 def random_tree(n: int, seed: int = 0, shape: str = "uniform") -> RootedTree:
     """A random rooted tree on ``n`` vertices.

@@ -23,7 +23,7 @@ from repro.decomp.layering import Layering
 from repro.decomp.petals import PetalOracle
 from repro.trees.rooted import RootedTree
 
-from conftest import random_tree
+from conftest import needs_milp, random_tree
 
 
 class TestTables:
@@ -124,6 +124,7 @@ class TestFigures:
 class TestExperimentRunners:
     """Smoke-run each experiment with tiny parameters."""
 
+    @needs_milp
     def test_e01(self):
         rows = E.e01_tecss_approx(families=("cycle_chords",), n_small=10, n_large=30, seeds=(1,))
         assert all(r["within"] for r in rows)
@@ -144,6 +145,7 @@ class TestExperimentRunners:
         rows = E.e05_layering(families=("grid",), sizes=(49,))
         assert all(r["layers"] <= r["log2_leaves"] + 2 for r in rows)
 
+    @needs_milp
     def test_e06(self):
         rows = E.e06_unweighted(sizes=(12,), seeds=(1,))
         assert all(r["within_2"] for r in rows)

@@ -32,7 +32,12 @@ from repro.core.virtual_graph import build_virtual_edges
 from repro.exceptions import NotTwoEdgeConnectedError, SolverError
 from repro.graphs import cycle_with_chords, erdos_renyi_2ec
 
-from conftest import random_tap_links, random_tree, random_vertical_edges
+from conftest import (
+    needs_milp,
+    random_tap_links,
+    random_tree,
+    random_vertical_edges,
+)
 
 
 def small_links(tree, count, seed):
@@ -46,6 +51,7 @@ def small_links(tree, count, seed):
 
 
 class TestCrossChecks:
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_milp_equals_brute_force_tap(self, seed):
         tree = random_tree(8, seed=seed)
@@ -74,6 +80,7 @@ class TestCrossChecks:
         arb = exact_vertical_tap(tree, vedges)
         assert arb.weight == pytest.approx(bf.weight, rel=1e-9)
 
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_two_ecss_milp_equals_brute_force(self, seed):
         g = cycle_with_chords(7, 3, seed=seed)
@@ -81,6 +88,7 @@ class TestCrossChecks:
         mi = exact_two_ecss_milp(g)
         assert mi.weight == pytest.approx(bf.weight, rel=1e-9)
 
+    @needs_milp
     def test_two_ecss_milp_solution_is_feasible(self):
         g = erdos_renyi_2ec(16, seed=7)
         res = exact_two_ecss_milp(g)
@@ -92,6 +100,7 @@ class TestCrossChecks:
 
 
 class TestGuarantees:
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
     def test_fj_2approx_against_milp(self, seed):
         tree = random_tree(12, seed=seed)
@@ -101,6 +110,7 @@ class TestGuarantees:
         assert w2 <= 2 * opt.weight + 1e-9
         assert w2 >= opt.weight - 1e-9
 
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_greedy_log_ratio(self, seed):
         tree = random_tree(12, seed=seed)
@@ -110,6 +120,7 @@ class TestGuarantees:
         h_n = math.log(tree.n) + 1
         assert gr.weight <= h_n * opt.weight + 1e-9
 
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_paper_algorithm_respects_exact_opt(self, seed):
         # The headline sanity check: (4+eps)-approx TAP vs the true optimum.
@@ -217,6 +228,7 @@ class TestKEcssMilp:
         with pytest.raises(ValueError):
             exact_k_ecss_milp(g, k)
 
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_k2_equals_two_ecss_milp(self, seed):
         from repro.baselines.exact_milp import exact_k_ecss_milp
@@ -226,6 +238,7 @@ class TestKEcssMilp:
             exact_two_ecss_milp(g).weight, rel=1e-9
         )
 
+    @needs_milp
     @pytest.mark.parametrize("k", [3, 4])
     def test_optimum_is_k_connected(self, k):
         from repro.baselines.exact_milp import exact_k_ecss_milp

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.tecss import approximate_two_ecss
 from repro.dist import dist_specs, distributed_two_ecss
+from repro.exceptions import InvalidFailurePlanError
 from repro.graphs.families import make_family_instance
 from repro.sim import FailurePlan, ScenarioRunner, random_failure_plan
 
@@ -60,6 +61,7 @@ def test_pipeline_variants_match_reference(variant, segmented):
 def test_pipeline_matches_fast_backend_too():
     # fast and reference are bit-identical (PR 2), so the dist pipeline
     # transitively matches the vectorized kernels as well.
+    pytest.importorskip("numpy")
     graph = make_family_instance("erdos_renyi", 40, seed=7)
     dist = distributed_two_ecss(graph, eps=0.5)
     fast = approximate_two_ecss(graph, eps=0.5, backend="fast")
@@ -181,10 +183,30 @@ class TestLossyComposition:
 
     def test_plan_naming_an_unknown_node_raises(self):
         graph = make_family_instance("cycle_chords", 18, seed=1)
-        with pytest.raises(ValueError, match="node 99"):
+        with pytest.raises(InvalidFailurePlanError, match="node 99"):
             distributed_two_ecss(
                 graph, eps=0.5, failures=FailurePlan().fail(0, 99)
             )
+
+    def test_plan_naming_a_non_edge_raises(self):
+        graph = make_family_instance("cycle_chords", 18, seed=1)
+        assert not graph.has_edge(0, 2)
+        with pytest.raises(InvalidFailurePlanError, match="not an edge"):
+            distributed_two_ecss(
+                graph, eps=0.5,
+                failures=FailurePlan().fail(0, 2, symmetric=False),
+            )
+
+    def test_random_plan_on_mixed_labels(self):
+        import networkx as nx
+
+        graph = nx.cycle_graph(["a", 1, "b", 2, "c", 3])
+        graph.add_edge("a", "b")
+        nx.set_edge_attributes(graph, 1.0, "weight")
+        plan = random_failure_plan(graph, p=0.5, max_rounds=20, seed=1)
+        dist = distributed_two_ecss(graph, eps=0.5, failures=plan)
+        ref = approximate_two_ecss(graph, eps=0.5, backend="reference")
+        assert dist.result.edges == ref.edges
 
     def test_scenario_runner_sweeps_dist_specs(self):
         runner = ScenarioRunner()

@@ -8,6 +8,7 @@ a deep stack trace from an internal invariant.
 from __future__ import annotations
 
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -277,6 +278,33 @@ class TestFailureInjectionScenarios:
         stats_a = BatchedNetwork(g, failures=a).run(DistributedBFS(0))
         stats_b = BatchedNetwork(g, failures=b).run(DistributedBFS(0))
         assert stats_a == stats_b and stats_a.dropped == stats_b.dropped
+
+    def test_random_plan_takes_any_hashable_labels(self):
+        """Edges are drawn in node-position order, never by comparing
+        labels: mixed int/str labels work, and a relabeled twin with the
+        same node order draws the same plan."""
+        g = nx.cycle_graph(["a", 1, "b", 2])
+        ints = nx.cycle_graph(4)
+        names = dict(enumerate(g.nodes()))
+        plan = random_failure_plan(g, p=0.5, max_rounds=8, seed=3)
+        twin = random_failure_plan(ints, p=0.5, max_rounds=8, seed=3)
+        assert plan.by_round
+        assert plan.by_round == {
+            r: {(names[u], names[v]) for u, v in pairs}
+            for r, pairs in twin.by_round.items()
+        }
+
+    def test_random_plan_on_ascending_ids_keeps_the_sorted_draw(self):
+        g = _weighted_path(7)
+        g.add_edge(0, 6, weight=1.0)
+        rng = random.Random(2)
+        want = FailurePlan()
+        for r in range(1, 6):
+            for u, v in sorted(tuple(sorted(e)) for e in g.edges()):
+                if rng.random() < 0.4:
+                    want.fail(u, v, rounds=[r])
+        got = random_failure_plan(g, p=0.4, max_rounds=5, seed=2)
+        assert got.by_round == want.by_round
 
     def test_drop_accounting_is_per_run_and_plan_stays_immutable(self):
         # Regression: the engine used to accumulate a lifetime counter on

@@ -39,6 +39,8 @@ from repro.runtime.registry import (
 from repro.runtime.session import SolverSession
 from repro.serve.protocol import result_to_payload
 
+from conftest import needs_milp
+
 
 def _runnable_compute_backends() -> list[str]:
     """Every registered compute backend that can execute here."""
@@ -68,6 +70,7 @@ def k_connected_instance(n: int, k: int, seed: int) -> nx.Graph:
 
 
 class TestDifferentialWall:
+    @needs_milp
     @pytest.mark.parametrize("backend", COMPUTE_BACKENDS)
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -79,6 +82,7 @@ class TestDifferentialWall:
         assert opt.weight <= res.weight + 1e-9
         assert res.weight <= res.guarantee * opt.weight + 1e-9
 
+    @needs_milp
     @pytest.mark.parametrize("k", [3, 4])
     def test_certified_lower_bound_is_a_lower_bound(self, k):
         g = k_connected_instance(10, k, seed=7)
@@ -91,6 +95,7 @@ class TestDifferentialWall:
             degree_lower_bound(g.number_of_nodes(), triples, k)
         )
 
+    @needs_milp
     def test_k2_milp_equals_two_ecss_milp(self):
         g = k_connected_instance(9, 2, seed=4)
         assert exact_k_ecss_milp(g, 2).weight == pytest.approx(

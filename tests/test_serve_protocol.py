@@ -158,6 +158,8 @@ class TestFailureSpecs:
             {"random": {"p": 0.5, "max_rounds": 0}},
             {"edges": [{"u": 0}]},
             {"edges": [{"u": 0, "v": 1, "rounds": [0]}]},
+            {"edges": [{"u": True, "v": 1}]},
+            {"edges": [{"u": 0, "v": [1]}]},
             {"nope": 1},
             [],
         ):

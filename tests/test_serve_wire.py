@@ -127,7 +127,41 @@ def test_solve_bit_identical_sim_engine_and_failures():
             "failures": {"edges": [{"u": 0, "v": 999}]},
         })
         assert status == 400, unknown
-        assert unknown["error"]["code"] == "bad-request"
+        assert unknown["error"]["code"] == "invalid-failures"
+
+    serve_session(scenario)
+
+
+def test_sim_failures_on_mixed_labels_and_unknown_edges():
+    """A random spec on int and str labels solves (200); an explicit spec
+    naming a non-edge is the client's error, ``invalid-failures``."""
+    import networkx as nx
+
+    mixed = nx.cycle_graph(["a", 1, "b", 2, "c", 3])
+    mixed.add_edge("a", "b")
+    nx.set_edge_attributes(mixed, 1.5, "weight")
+    chords = make_family_instance("cycle_chords", 18, seed=1)
+    assert not chords.has_edge(0, 2)
+    spec = {"random": {"p": 0.5, "max_rounds": 10, "seed": 4}}
+
+    async def scenario(client, server):
+        status, resp = await client.request("POST", "/v1/solve", {
+            "graph": graph_payload(mixed), "eps": 0.5, "engine": "sim",
+            "failures": spec,
+        })
+        assert status == 200, resp
+        want = distributed_two_ecss(
+            mixed, eps=0.5, failures=failure_plan_from_payload(spec, mixed)
+        )
+        assert resp["result"] == result_to_payload(want)
+
+        status, resp = await client.request("POST", "/v1/solve", {
+            "graph": graph_payload(chords), "eps": 0.5, "engine": "sim",
+            "failures": {"edges": [{"u": 0, "v": 2}]},
+        })
+        assert status == 400, resp
+        assert resp["error"]["code"] == "invalid-failures"
+        assert "not an edge" in resp["error"]["message"]
 
     serve_session(scenario)
 

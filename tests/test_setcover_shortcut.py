@@ -14,7 +14,7 @@ from repro.graphs import cycle_with_chords, erdos_renyi_2ec, grid_graph, is_two_
 from repro.shortcuts.setcover import parallel_setcover_tap
 from repro.shortcuts.tap_shortcut import shortcut_tap, shortcut_two_ecss
 
-from conftest import random_tap_links, random_tree
+from conftest import needs_milp, random_tap_links, random_tree
 
 
 class TestParallelSetCover:
@@ -36,6 +36,7 @@ class TestParallelSetCover:
         assert r1.links == r2.links
         assert r1.weight == r2.weight
 
+    @needs_milp
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_log_quality_vs_exact(self, seed):
         # O(log n) approximation: compare against the exact optimum on
