@@ -36,6 +36,8 @@ from repro.graphs.validation import (
     check_k_edge_connected,
     check_two_edge_connected,
     ensure_weights,
+    find_bridges,
+    is_two_edge_connected,
 )
 from repro.trees.rooted import RootedTree
 
@@ -165,9 +167,9 @@ def _find_violated_cut(sub: nx.Graph, n: int) -> set[int] | None:
     comps = list(nx.connected_components(sub))
     if len(comps) > 1:
         return set(comps[0])
-    bridge = next(nx.bridges(sub), None)
-    if bridge is not None:
-        u, v = bridge
+    bridges = find_bridges(sub)
+    if bridges:
+        u, v = bridges[0]
         sub2 = sub.copy()
         sub2.remove_edge(u, v)
         return set(nx.node_connected_component(sub2, u))
@@ -298,10 +300,7 @@ def brute_force_two_ecss(graph: nx.Graph, max_edges: int = 18) -> MilpResult:
             sub = nx.Graph()
             sub.add_nodes_from(nodes)
             sub.add_edges_from((edges[j][0], edges[j][1]) for j in subset)
-            if (
-                nx.is_connected(sub)
-                and next(nx.bridges(sub), None) is None
-            ):
+            if is_two_edge_connected(sub):
                 best_w, best = w, subset
     if best is None:  # pragma: no cover - guarded by the 2ECC check
         raise NotTwoEdgeConnectedError("no feasible 2-ECSS")

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import networkx as nx
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.certificates import uncovered_tree_edge
 from repro.core.result import TapResult, TwoEcssResult
 from repro.core.reverse import COVER_BOUND
 from repro.exceptions import InvariantViolation, NotATreeError
 from repro.trees.rooted import RootedTree
+
+if TYPE_CHECKING:
+    from repro.runtime.handle import GraphHandle
 
 __all__ = [
     "approximate_two_ecss",
@@ -100,7 +103,7 @@ def rooted_mst(graph: nx.Graph) -> tuple[RootedTree, list[tuple]]:
 
 
 def assemble_two_ecss(
-    g: nx.Graph | None,
+    g: "nx.Graph | GraphHandle | None",
     nodes: "Sequence | None",
     mst_edges: list[tuple],
     tap: "TapResult",
@@ -119,22 +122,24 @@ def assemble_two_ecss(
     Shared by :func:`approximate_two_ecss`, the session runtime
     (:class:`repro.runtime.session.SolverSession`) and the distributed
     pipeline (:func:`repro.dist.pipeline.distributed_two_ecss`): ``g`` is
-    the normalized 0..n-1 graph, ``nodes`` the label mapping from
-    :func:`~repro.graphs.validation.normalize_graph`, and ``tap`` the
-    :class:`~repro.core.result.TapResult` of the augmentation.
+    the normalized 0..n-1 graph — an ``nx.Graph``, or the
+    :class:`~repro.runtime.handle.GraphHandle` itself, whose
+    :meth:`~repro.runtime.handle.GraphHandle.has_edge` answers the same
+    lookups (the session passes its handle) — ``nodes`` the id -> label
+    mapping, and ``tap`` the :class:`~repro.core.result.TapResult` of the
+    augmentation.
 
     ``diameter`` is the result's topology diameter, owned by
     :attr:`repro.runtime.handle.GraphHandle.diameter` (every caller holds
     a handle or a plan).  ``mst_weight`` and ``n`` let a plan-backed
-    caller supply cached values; when both are given and ``validate`` is
-    off, ``g`` is never touched and may be ``None`` (the delta re-solve
-    path skips materializing the nx.Graph entirely).  A
-    supplied ``mst_weight`` must equal the in-order sum over
-    ``mst_edges`` — the session computes it from the same weight objects
-    in the same order, keeping results bit-identical.  ``mst_edges_out``
-    optionally supplies the label-mapped MST edge list (a plan's
-    ``labeled_mst_edges``), which results over one tree then share,
-    read-only by convention.
+    caller supply cached values; when both are given, ``g`` is read only
+    by validation's ``has_edge`` lookups, and with ``validate`` off it may
+    be ``None``.  A supplied ``mst_weight`` must equal the in-order sum
+    over ``mst_edges`` — the session computes it from the same weight
+    objects in the same order, keeping results bit-identical.
+    ``mst_edges_out`` optionally supplies the label-mapped MST edge list
+    (a plan's ``labeled_mst_edges``), which results over one tree then
+    share, read-only by convention.
 
     ``validate`` certifies the result by Claim 2.1's cover condition
     instead of a graph traversal: every link must be an edge of ``g``,
@@ -143,9 +148,8 @@ def assemble_two_ecss(
     uncovered edge is named as the bridge.  ``tree`` is the MST rooted
     as the plan roots it, ``tree_arrays`` its
     :class:`~repro.fast.treearrays.TreeArrays` (numpy certificate); a
-    call that passes neither roots ``mst_edges`` itself.  Validation
-    reads ``g`` only for the link-membership lookups, which cost
-    O(links).
+    call that passes neither roots ``mst_edges`` itself.  The
+    link-membership lookups cost O(links).
     """
     mst_set = set(mst_edges)
     if mst_weight is None:

@@ -1,22 +1,31 @@
 """Immutable array-backed graph handles: validate and normalize **once**.
 
-A :class:`GraphHandle` is the runtime layer's view of one input graph.  It
-performs, exactly once per topology, everything
+A :class:`GraphHandle` is the runtime layer's view of one input graph.
+Its one constructor, :meth:`GraphHandle.from_edges`, takes the node
+labels and an iterable of ``(u, v, weight)`` edge triples — the shape of
+``graph.edges(data="weight")`` and of a wire payload's ``edges`` — and
+does, exactly once per topology, everything
 :func:`repro.core.tecss.approximate_two_ecss` used to redo on every call:
 
-* weight validation (:func:`repro.graphs.validation.ensure_weights`),
+* normalization to ``0..n-1`` integer ids,
+* input checks: self-loops, missing weights, weights that fail
+  :func:`~repro.graphs.validation.valid_weight`, labels outside the node
+  list and pairs listed twice,
 * the feasibility check
-  (:func:`repro.graphs.validation.check_two_edge_connected`),
-* normalization to ``0..n-1`` integer labels
-  (:func:`repro.graphs.validation.normalize_graph`),
+  (:func:`~repro.graphs.validation.check_two_edge_connected_ids`, a
+  low-link pass over the ids),
 
 and stores the result in flat edge arrays — ``edges`` (the normalized
-endpoint pairs, in the input graph's iteration order, which downstream
-tie-breaks depend on) plus a ``weights`` tuple aligned with them.  The
-handle is *immutable*: :meth:`reweight` returns a **new** handle sharing
-the topology (and every topology-derived cache, e.g. :attr:`diameter` and
-the feasibility verdict) while swapping only the weight column — the cheap
-operation that makes many-scenario solves
+endpoint pairs, in input order, which downstream tie-breaks depend on)
+plus a ``weights`` tuple aligned with them.  No ``nx.Graph`` is built:
+:meth:`GraphHandle.from_graph` reads an ``nx.Graph``'s edges and
+delegates, the serve workers pass the registered payload, and the
+normalized :attr:`GraphHandle.graph` is built lazily, only by the paths
+that need one.  The handle is *immutable*: :meth:`reweight` returns a
+**new** handle sharing the topology (and every topology-derived cache,
+e.g. :attr:`diameter` and the edge set behind :meth:`has_edge`) while
+swapping only the weight column — the cheap operation that makes
+many-scenario solves
 (:meth:`repro.runtime.session.SolverSession.solve_many`) practical.  The
 new handle records its diff against its source
 (:attr:`GraphHandle.delta_base`, :attr:`GraphHandle.delta_changes`), from
@@ -32,19 +41,19 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from typing import Any, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro.exceptions import GraphFormatError
 from repro.fast import HAVE_NUMPY, require_numpy
 from repro.graphs.validation import (
-    check_two_edge_connected,
-    ensure_weights,
+    check_two_edge_connected_ids,
+    edge_defect,
     exact_diameter,
-    normalize_graph,
     valid_weight,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["GraphHandle", "weights_token"]
 
@@ -61,12 +70,58 @@ def weights_token(weights: Sequence) -> tuple:
     return values, tuple(map(type, values))
 
 
+def _column_passes(column: Sequence) -> bool:
+    """Whether every weight in a non-empty column passes :func:`valid_weight`.
+
+    C-speed builtins only: ``min`` catches negatives and ``max``
+    infinities and ints beyond float range; only then is the sum safe
+    from OverflowError, and its self-comparison catches NaN (which
+    ``min`` and ``max`` can miss mid-sequence).  A non-numeric weight
+    raises TypeError from the comparison.  Callers that need the
+    offending edge named run the per-edge loop after a ``False``.
+    """
+    return (
+        min(column) >= 0 and valid_weight(max(column))
+        and (total := sum(column)) == total
+    )
+
+
+def _raise_first_defect(nodes: list, index: dict, triples: list) -> None:
+    """Raise :class:`GraphFormatError` for the first bad input edge.
+
+    The per-edge loop behind :meth:`GraphHandle.from_edges`' fast checks,
+    run only once they have failed.  Edge by edge, in input order:
+    :func:`~repro.graphs.validation.edge_defect` (self-loop, missing or
+    invalid weight), a label missing from ``nodes``, and a pair listed
+    earlier in either orientation.
+    """
+    if len(index) < len(nodes):
+        raise GraphFormatError("the node list repeats a label")
+    seen = set()
+    for u, v, w in triples:
+        defect = edge_defect(u, v, w)
+        if defect is not None:
+            raise GraphFormatError(defect)
+        if u not in index or v not in index:
+            raise GraphFormatError(
+                f"edge ({u!r}, {v!r}) names a label missing from the nodes"
+            )
+        pair = frozenset((index[u], index[v]))
+        if pair in seen:
+            raise GraphFormatError(
+                f"edge ({u!r}, {v!r}) repeats an earlier edge between the "
+                "same endpoints"
+            )
+        seen.add(pair)
+
+
 class GraphHandle:
     """One validated, normalized, immutable weighted graph (see module doc).
 
-    Build with :meth:`from_graph`; derive weight variants with
-    :meth:`reweight`.  Handles sharing a topology share the same
-    :attr:`topology_key` and the same topology-derived caches.
+    Build with :meth:`from_edges` (or :meth:`from_graph` for an
+    ``nx.Graph``); derive weight variants with :meth:`reweight`.  Handles
+    sharing a topology share the same :attr:`topology_key` and the same
+    topology-derived caches.
     """
 
     def __init__(
@@ -84,12 +139,13 @@ class GraphHandle:
         self.edges = edges  # normalized (u, v) pairs, input iteration order
         self.weights = weights
         self._topology_key = topology_key
-        #: Topology-derived caches (:attr:`diameter`, :attr:`_pair_index`),
-        #: shared *by reference* with every :meth:`reweight` clone:
-        #: whichever handle computes one first, all handles on the
-        #: topology see it.  (Copying computed entries at clone time
-        #: instead would lose work computed on a clone afterwards — a
-        #: 100-scenario sweep would re-derive the diameter per scenario.)
+        #: Topology-derived caches (:attr:`diameter`, :attr:`_pair_index`,
+        #: the ``edge_set`` behind :meth:`has_edge`), shared *by
+        #: reference* with every :meth:`reweight` clone: whichever handle
+        #: computes one first, all handles on the topology see it.
+        #: (Copying computed entries at clone time instead would lose work
+        #: computed on a clone afterwards — a 100-scenario sweep would
+        #: re-derive the diameter per scenario.)
         self._shared: dict[str, Any] = {}
         #: For handles built by :meth:`reweight`: the source handle and the
         #: effective diff ``{edge_position: new_weight}``.  ``None`` / empty
@@ -102,31 +158,72 @@ class GraphHandle:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_graph(cls, graph: nx.Graph) -> "GraphHandle":
-        """Validate, check 2-edge-connectivity, and normalize ``graph``.
+    def from_edges(
+        cls, nodes: Iterable, edges: Iterable[Sequence]
+    ) -> "GraphHandle":
+        """Validate, check 2-edge-connectivity, and normalize an edge list.
 
-        Raises exactly what the one-shot solvers raise on bad input
-        (:class:`~repro.exceptions.GraphFormatError`,
-        :class:`~repro.exceptions.NotConnectedError`,
-        :class:`~repro.exceptions.NotTwoEdgeConnectedError`) — but only
-        once per topology instead of once per solve.
+        ``nodes`` lists the labels; label ``nodes[i]`` becomes id ``i``.
+        ``edges`` yields ``(u, v, weight)`` triples in those labels, in
+        the order downstream tie-breaks follow.  The handle keeps the
+        caller's weight objects (ints stay ints) and each pair's
+        orientation.  Comprehensions map labels to ids and build the edge
+        set; C-speed checks on the ids, the set and the weight column
+        (:func:`_column_passes`) then either pass or hand over to a
+        per-edge loop that names the first bad edge.
+
+        Raises :class:`~repro.exceptions.GraphFormatError` for a
+        self-loop, a missing weight, a weight failing
+        :func:`~repro.graphs.validation.valid_weight`, a label not in
+        ``nodes``, a pair listed twice in either orientation, a repeated
+        node label, or fewer than 2 nodes;
+        :class:`~repro.exceptions.NotConnectedError`; and
+        :class:`~repro.exceptions.NotTwoEdgeConnectedError` naming the
+        first bridge in edge order, in labels and input orientation
+        (:func:`~repro.graphs.validation.first_bridge`).  No networkx is
+        involved.
         """
-        ensure_weights(graph)
-        check_two_edge_connected(graph)
-        g, nodes, index = normalize_graph(graph)
-        edges = []
-        weights = []
-        for u, v, data in graph.edges(data=True):
-            edges.append((index[u], index[v]))
-            # Keep the caller's weight objects (ints stay ints), exactly
-            # as normalize_graph does — the one-shot API's result types
-            # must not change because a session sits underneath it.
-            weights.append(data["weight"])
-        handle = cls(len(nodes), nodes, index, edges, tuple(weights))
-        # normalize_graph already built the normalized graph (with every
-        # edge attribute); seed the cache instead of rebuilding it later.
-        handle.__dict__["graph"] = g
+        nodes = list(nodes)
+        index = {label: i for i, label in enumerate(nodes)}
+        triples = list(edges)
+        weights = [w for _, _, w in triples]
+        try:
+            pairs = [(index[u], index[v]) for u, v, _ in triples]
+            # Sorted pairs; an already sorted one is stored as itself.
+            edge_set = {p if p[0] < p[1] else (p[1], p[0]) for p in pairs}
+            clean = (
+                len(index) == len(nodes)
+                and len(edge_set) == len(pairs)
+                and not any(u == v for u, v in pairs)
+                and (not weights or _column_passes(weights))
+            )
+        except (KeyError, TypeError):
+            clean = False
+        if not clean:
+            _raise_first_defect(nodes, index, triples)
+        check_two_edge_connected_ids(nodes, pairs)
+        handle = cls(len(nodes), nodes, index, pairs, tuple(weights))
+        handle._shared["edge_set"] = edge_set
         return handle
+
+    @classmethod
+    def from_graph(cls, graph: "nx.Graph") -> "GraphHandle":
+        """:meth:`from_edges` on an undirected simple ``nx.Graph``.
+
+        Reads ``graph.nodes`` and ``graph.edges(data="weight")``, so the
+        handle follows the graph's own iteration order.  Raises exactly
+        what the one-shot solvers raise on bad input (see
+        :meth:`from_edges`) — but only once per topology instead of once
+        per solve — and :class:`~repro.exceptions.GraphFormatError` for a
+        directed graph or a multigraph, whose parallel edges the solvers
+        would otherwise collapse.
+        """
+        if graph.is_directed() or graph.is_multigraph():
+            raise GraphFormatError(
+                "the input must be an undirected simple graph (nx.Graph); "
+                f"got a {type(graph).__name__}"
+            )
+        return cls.from_edges(graph.nodes, graph.edges(data="weight"))
 
     def reweight(
         self,
@@ -165,16 +262,8 @@ class GraphHandle:
                     f"(one per edge); got {len(column)}"
                 )
         # Fast C-speed scan first; only a failing column pays the
-        # per-edge diagnostic loop that names the offending edge.  ``min``
-        # catches negatives and ``max`` infinities and ints beyond float
-        # range; only then is the sum safe from OverflowError, and its
-        # self-comparison catches NaN (which ``min`` and ``max`` can miss
-        # mid-sequence).  A non-numeric weight raises TypeError from the
-        # comparison.
-        if not (
-            min(column) >= 0 and valid_weight(max(column))
-            and (total := sum(column)) == total
-        ):
+        # per-edge diagnostic loop that names the offending edge.
+        if not _column_passes(column):
             for (u, v), w in zip(self.edges, column):
                 if not valid_weight(w):
                     raise GraphFormatError(
@@ -318,18 +407,30 @@ class GraphHandle:
         """Edges in the original node labels, handle order (for reweight)."""
         return [(self.nodes[u], self.nodes[v]) for u, v in self.edges]
 
-    @cached_property
-    def graph(self) -> nx.Graph:
-        """The normalized ``0..n-1`` weighted graph.
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether the normalized ids ``u`` and ``v`` share an edge.
 
-        For a handle built by :meth:`from_graph` this is exactly the
-        graph :func:`~repro.graphs.validation.normalize_graph` produced
-        (seeded at construction, every edge attribute preserved);
-        reweighted handles materialize it lazily with the new ``weight``
-        column.  Edge insertion order always matches the original input,
-        which downstream code depends on for deterministic tie-breaking —
-        do not mutate.
+        Either orientation.  Answered from the edge set that
+        :meth:`from_edges` built for its duplicate check, shared with
+        every :meth:`reweight` clone, so a handle can stand in for the
+        graph in :func:`repro.core.tecss.assemble_two_ecss`' link lookups.
         """
+        return ((u, v) if u < v else (v, u)) in self._shared["edge_set"]
+
+    @cached_property
+    def graph(self) -> "nx.Graph":
+        """The normalized ``0..n-1`` graph, built on first use.
+
+        Nodes ``0..n-1`` in order, then the edges in handle order, each
+        carrying only its ``weight`` from this handle's column; the input
+        graph's other attributes are not kept.  Only the paths that read
+        an ``nx.Graph`` build it: ``simulate_mst``, the ``sim`` engine,
+        the shortcut solver and k >= 3 validation.  Edge insertion order
+        matches the input, which downstream code depends on for
+        deterministic tie-breaking — do not mutate.
+        """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         for (u, v), w in zip(self.edges, self.weights):

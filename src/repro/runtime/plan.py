@@ -238,9 +238,10 @@ class SolverPlan:
     def g(self) -> nx.Graph:
         """The normalized ``0..n-1`` weighted graph (owned by the handle).
 
-        Read by the paths that need a weighted ``nx.Graph``
-        (``simulate_mst``, the ``sim`` engine, the shortcut solver); a
-        session validates results on its base handle's graph instead.
+        Built on first use (:attr:`GraphHandle.graph`) by the paths that
+        need a weighted ``nx.Graph`` (``simulate_mst``, the ``sim``
+        engine, the shortcut solver); a session validates results on its
+        base handle's edge set instead.
         """
         return self.handle.graph
 
@@ -254,8 +255,7 @@ class SolverPlan:
         """Topology diameter under the result-metadata rule (see handle).
 
         A derived plan asks its parent: the diameter reads structure only,
-        so it is computed on the base handle's graph, and no reweighted
-        handle builds an ``nx.Graph`` for it.
+        so it is computed once, on the base handle's edge arrays.
         """
         if self._delta_parent is not None:
             return self._delta_parent.diameter

@@ -451,12 +451,11 @@ class SolverSession:
                 segmented=segmented, validate=validate, backend=flavor,
             )
             # Validation certifies the cover on the plan's tree (the fast
-            # flavor on the instance's cached tree arrays) and reads the
-            # graph only to look the links up: the base handle's graph
-            # serves every weight column, so no reweighted handle builds
-            # one.
+            # flavor on the instance's cached tree arrays) and looks the
+            # links up in the base handle's edge set (``has_edge``), which
+            # every weight column shares: no solve builds an nx.Graph.
             return assemble_two_ecss(
-                self.handle.graph if validate else None,
+                self.handle if validate else None,
                 plan.nodes, plan.mst_edges, tap,
                 validate=validate, mst_simulation=mst_simulation,
                 diameter=plan.diameter, mst_weight=plan.mst_weight,

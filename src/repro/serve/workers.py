@@ -30,7 +30,6 @@ from repro.serve.protocol import (
     ProtocolError,
     SolveRequest,
     failure_plan_from_payload,
-    graph_from_payload,
     result_to_payload,
 )
 
@@ -181,6 +180,7 @@ def _session_for(topology: str, graph: dict | None):
     carried no graph — the pool retries with the graph attached or
     reports ``unknown-topology``.
     """
+    from repro.runtime.handle import GraphHandle
     from repro.runtime.session import SolverSession
 
     session = _SESSIONS.get(topology)
@@ -188,7 +188,7 @@ def _session_for(topology: str, graph: dict | None):
         if graph is None:
             return None
         session = SolverSession(
-            graph_from_payload(graph),
+            GraphHandle.from_edges(graph["nodes"], graph["edges"]),
             backend=_SETTINGS["backend"],
             engine=_SETTINGS["engine"],
             max_plans=_SETTINGS["max_plans"],

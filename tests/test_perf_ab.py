@@ -2,12 +2,14 @@
 
 The rule is a pure function of perfbench result lines, so it is tested on
 recorded lines without running the benchmark.  Bounds and directions are
-the real ones from ``BENCHMARK.json``.
+the real ones from ``BENCHMARK.json``.  The base-side extraction is
+tested on this repository's own ``HEAD``.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -125,3 +127,16 @@ def test_wide_base_spread_is_unresolved_unless_head_wins_every_run():
     assert row.endswith("ok") and "HEAD better in 10/10 pairs" in row
     # Neither verdict changes the gate.
     assert failures(base, overlapping) == failures(base, clear) == []
+
+
+def test_extract_unpacks_a_ref_and_registers_no_worktree(tmp_path):
+    try:
+        before = perf_ab.git("worktree", "list", "--porcelain")
+        perf_ab.git("rev-parse", "--verify", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs a git checkout with a commit")
+    dest = tmp_path / "base"
+    perf_ab.extract("HEAD", str(dest))
+    assert (dest / "src" / "repro" / "__init__.py").is_file()
+    assert not (dest / ".git").exists()
+    assert perf_ab.git("worktree", "list", "--porcelain") == before

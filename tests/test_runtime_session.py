@@ -10,6 +10,8 @@ comparison is precisely "plan reuse vs rebuild".
 
 from __future__ import annotations
 
+import asyncio
+import json
 import random
 
 import pytest
@@ -222,6 +224,67 @@ class TestGraphHandle:
         pi = clone2._pair_index
         assert handle._pair_index is pi
         assert clone._pair_index is pi
+
+
+def _refuse_nx_graphs(monkeypatch) -> None:
+    """Make every ``nx.Graph`` construction from here on raise."""
+    import networkx as nx
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an nx.Graph was built")
+
+    monkeypatch.setattr(nx.Graph, "__init__", refuse)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the fast backend needs numpy")
+class TestNoGraphOnTheSolvePath:
+    """A validated fast solve builds no ``nx.Graph``, in process or served."""
+
+    def test_one_shot_fast_solve(self, monkeypatch):
+        graph = make_family_instance("erdos_renyi", 80, seed=2)
+        want = approximate_two_ecss(graph, eps=0.5, backend="fast")
+        _refuse_nx_graphs(monkeypatch)
+        got = approximate_two_ecss(graph, eps=0.5, backend="fast")
+        _assert_same_result(got, want)
+
+    def test_served_register_and_solve(self, monkeypatch):
+        from repro.serve.app import ServeApp, ServeConfig
+        from repro.serve.protocol import graph_payload, result_to_payload
+
+        graph = make_family_instance("geometric", 60, seed=4)
+        payload = graph_payload(graph)
+        want = result_to_payload(
+            approximate_two_ecss(graph, eps=0.5, backend="fast")
+        )
+        _refuse_nx_graphs(monkeypatch)
+
+        async def post(app, body):
+            return await app.handle(
+                "POST", "/v1/solve", json.dumps(body).encode()
+            )
+
+        async def scenario():
+            app = ServeApp(ServeConfig(workers=0))
+            await app.startup()
+            try:
+                status, first = await post(app, {"graph": payload, "eps": 0.5})
+                assert status == 200, first
+                status, again = await post(
+                    app, {"topology": first["topology"], "eps": 0.5}
+                )
+                assert status == 200, again
+                return first["result"], again["result"]
+            finally:
+                await app.shutdown()
+
+        assert asyncio.run(scenario()) == (want, want)
+
+    def test_validated_solves_leave_the_handle_graphless(self):
+        graph = make_family_instance("torus", 25, seed=1)
+        session = SolverSession(graph, backend="fast")
+        session.solve(eps=0.5)
+        session.solve(eps=0.5, weights_delta={next(iter(graph.edges())): 9.5})
+        assert "graph" not in session.handle.__dict__
 
 
 class TestSolverPlan:

@@ -195,6 +195,46 @@ def test_reweighted_topology_reference_bit_identical():
     serve_session(scenario)
 
 
+def test_weights_align_with_a_hand_written_payload_edge_order():
+    """A ``weights`` column follows the payload's edges, in any order.
+
+    This edge list is not in ``nx.Graph`` iteration order, which a graph
+    rebuilt from it would impose on the session's edges.  The reference
+    is a session on the same edge list, since virtual-edge ids follow
+    edge order; the same graph built as an ``nx.Graph`` must give the
+    same chosen edges and weight.
+    """
+    import networkx as nx
+
+    from repro.runtime import GraphHandle, SolverSession
+
+    edges = [[2, 3, 1.0], [0, 1, 1.0], [1, 2, 1.0], [3, 0, 1.0], [0, 2, 1.0]]
+    column = [5.0, 1.0, 1.0, 1.0, 9.0]
+    reweighted = [(u, v, w) for (u, v, _), w in zip(edges, column)]
+    want = result_to_payload(SolverSession(
+        GraphHandle.from_edges(range(4), reweighted)
+    ).solve(eps=0.5))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(4))
+    graph.add_weighted_edges_from(reweighted)
+    assert want["edges"] == result_to_payload(
+        approximate_two_ecss(graph, eps=0.5)
+    )["edges"]
+
+    async def scenario(client, server):
+        status, first = await client.request("POST", "/v1/solve", {
+            "graph": {"nodes": [0, 1, 2, 3], "edges": edges}, "eps": 0.5,
+        })
+        assert status == 200, first
+        status, resp = await client.request("POST", "/v1/solve", {
+            "topology": first["topology"], "eps": 0.5, "weights": column,
+        })
+        assert status == 200, resp
+        assert resp["result"] == want
+
+    serve_session(scenario)
+
+
 def test_simulate_mst_and_solve_batch():
     graph = make_family_instance("cycle_chords", 24, seed=9)
 

@@ -1,5 +1,10 @@
-"""The array-native topology checks: exact diameter and result certificate.
+"""The array-native topology checks: input check, exact diameter and
+result certificate.
 
+* :func:`repro.graphs.validation.first_bridge` — the low-link input
+  check behind :meth:`GraphHandle.from_edges` — must agree with
+  ``nx.is_connected`` + ``nx.bridges`` on the verdict, and name the
+  bridge earliest in edge order.
 * :func:`repro.graphs.validation.exact_diameter` — the bit-parallel
   all-sources BFS (numpy) and its ``nx.diameter`` fallback — must equal
   ``nx.diameter`` on every graph, and raise on disconnected ones.
@@ -20,10 +25,14 @@ from hypothesis import given, settings, strategies as st
 import repro.fast
 from repro.core.certificates import uncovered_tree_edge
 from repro.core.tecss import approximate_two_ecss, assemble_two_ecss
-from repro.exceptions import InvariantViolation, NotConnectedError
+from repro.exceptions import (
+    InvariantViolation,
+    NotConnectedError,
+    NotTwoEdgeConnectedError,
+)
 from repro.fast import HAVE_NUMPY
 from repro.graphs.families import FAMILIES, make_family_instance
-from repro.graphs.validation import exact_diameter
+from repro.graphs.validation import exact_diameter, first_bridge
 from repro.runtime.handle import GraphHandle
 from repro.runtime.plan import SolverPlan
 
@@ -40,6 +49,80 @@ def diameter_branch(request, monkeypatch):
     else:
         monkeypatch.setattr(repro.fast, "HAVE_NUMPY", False)
     return request.param
+
+
+# ---------------------------------------------------------------------------
+# the input check (low-link)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bridge_cases(draw):
+    """Edge lists across the verdicts, in drawn order and orientation.
+
+    ``blocks`` 2-edge-connected cycles with chords, strung together by
+    single edges: one block is 2-edge-connected, more have a bridge per
+    joint.  ``isolated`` adds a vertex no edge reaches, ``split`` drops
+    the joints (disconnected, unless one block), and ``pair`` is a
+    single edge or none on two vertices.
+    """
+    rng = random.Random(draw(st.integers(0, 1 << 30)))
+    shape = draw(st.sampled_from(["joined", "isolated", "split", "pair"]))
+    if shape == "pair":
+        return 2, ([(0, 1)] if rng.random() < 0.5 else [])
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        size = rng.randint(3, 9)
+        cycle = list(range(n, n + size))
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+        for _ in range(rng.randint(0, size)):
+            u, v = rng.sample(cycle, 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges.append((u, v))
+        if n and shape != "split":
+            edges.append((rng.randrange(n), rng.choice(cycle)))
+        n += size
+    if shape == "isolated":
+        n += 1
+    rng.shuffle(edges)
+    return n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=bridge_cases())
+def test_low_link_agrees_with_networkx(case):
+    n, edges = case
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(n))
+    labels = [f"v{i}" for i in range(n)]
+    triples = [(labels[u], labels[v], 1.0) for u, v in edges]
+    if not nx.is_connected(g):
+        with pytest.raises(NotConnectedError):
+            first_bridge(n, edges)
+        with pytest.raises(NotConnectedError):
+            GraphHandle.from_edges(labels, triples)
+        return
+    bridges = {frozenset(b) for b in nx.bridges(g)}
+    pos = first_bridge(n, edges)
+    if not bridges:
+        assert pos is None
+        assert GraphHandle.from_edges(labels, triples).m == len(edges)
+        return
+    assert pos == min(
+        i for i, e in enumerate(edges) if frozenset(e) in bridges
+    )
+    u, v = edges[pos]
+    with pytest.raises(NotTwoEdgeConnectedError) as excinfo:
+        GraphHandle.from_edges(labels, triples)
+    assert repr((labels[u], labels[v])) in str(excinfo.value)
+
+
+def test_low_link_steps_over_the_arrival_edge_not_the_parent():
+    """A doubled edge is no bridge; the single joint between is one."""
+    doubled = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2), (3, 4), (4, 5),
+               (5, 3)]
+    assert first_bridge(6, doubled) is None
+    assert first_bridge(6, [e for i, e in enumerate(doubled) if i != 4]) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
     python tools/perf_ab.py <base-ref>
 
-The base side is the merge base of ``<base-ref>`` and ``HEAD``, checked
-out as a temporary ``git worktree``.  This checkout's ``perfbench/`` and
+The base side is the merge base of ``<base-ref>`` and ``HEAD``, unpacked
+into a temporary directory with ``git archive | tar -x``
+(:func:`extract`), which registers nothing in the repository, so a killed
+run leaves at most a stray temp dir.  This checkout's ``perfbench/`` and
 ``BENCHMARK.json`` are copied over it, so both sides run identical
 benchmark code against their own ``src/``; the HEAD side is this
 checkout as it stands.  Every ``BENCHMARK.json`` workload runs in
@@ -165,6 +167,18 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
+def extract(ref: str, dest: str) -> None:
+    """Unpack the tree of ``ref`` into the new directory ``dest``."""
+    os.makedirs(dest)
+    with subprocess.Popen(
+        ["git", "-C", ROOT, "archive", ref], stdout=subprocess.PIPE
+    ) as archive:
+        subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout,
+                       check=True)
+    if archive.returncode:
+        raise subprocess.CalledProcessError(archive.returncode, archive.args)
+
+
 def main(argv: list) -> int:
     """Run the A/B against ``argv[0]`` and apply the gate."""
     if len(argv) != 1 or argv[0].startswith("-"):
@@ -180,33 +194,29 @@ def main(argv: list) -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
         base_dir = os.path.join(tmp, "base")
-        git("worktree", "add", "--detach", base_dir, base_sha)
-        try:
-            shutil.rmtree(os.path.join(base_dir, "perfbench"),
-                          ignore_errors=True)
-            shutil.copytree(
-                os.path.join(ROOT, "perfbench"),
-                os.path.join(base_dir, "perfbench"),
-                ignore=shutil.ignore_patterns("__pycache__"),
-            )
-            shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), base_dir)
-            print(f"perf_ab: base {base_sha[:12]} vs HEAD (this checkout), "
-                  f"{PAIRS} pairs x {spec['run_seconds']} s per workload")
-            for workload in (w["name"] for w in spec["workloads"]):
-                base, head = [], []
-                for pair in range(PAIRS):
-                    sides = [(base_dir, base), (ROOT, head)]
-                    if pair % 2:
-                        sides.reverse()
-                    for checkout, runs in sides:
-                        runs.append(run_once(checkout, spec, workload, pair))
-                    print(f"perf_ab: {workload} pair {pair + 1}/{PAIRS}",
-                          file=sys.stderr, flush=True)
-                rows, found = compare(spec, workload, base, head)
-                print(f"{workload}:", *rows, sep="\n", flush=True)
-                failures += found
-        finally:
-            git("worktree", "remove", "--force", base_dir)
+        extract(base_sha, base_dir)
+        shutil.rmtree(os.path.join(base_dir, "perfbench"), ignore_errors=True)
+        shutil.copytree(
+            os.path.join(ROOT, "perfbench"),
+            os.path.join(base_dir, "perfbench"),
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        shutil.copy2(os.path.join(ROOT, "BENCHMARK.json"), base_dir)
+        print(f"perf_ab: base {base_sha[:12]} vs HEAD (this checkout), "
+              f"{PAIRS} pairs x {spec['run_seconds']} s per workload")
+        for workload in (w["name"] for w in spec["workloads"]):
+            base, head = [], []
+            for pair in range(PAIRS):
+                sides = [(base_dir, base), (ROOT, head)]
+                if pair % 2:
+                    sides.reverse()
+                for checkout, runs in sides:
+                    runs.append(run_once(checkout, spec, workload, pair))
+                print(f"perf_ab: {workload} pair {pair + 1}/{PAIRS}",
+                      file=sys.stderr, flush=True)
+            rows, found = compare(spec, workload, base, head)
+            print(f"{workload}:", *rows, sep="\n", flush=True)
+            failures += found
     for failure in failures:
         print(f"perf_ab: FAIL {failure}")
     if failures:
